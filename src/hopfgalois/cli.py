@@ -58,35 +58,57 @@ def _need(mapping, key, path):
     return mapping[key]
 
 
+def _int(value, path):
+    try:
+        n = int(value)
+        # int() alone would truncate 1.7 to 1
+        if isinstance(value, str) or n == value:
+            return n
+    except (TypeError, ValueError):
+        pass
+    raise UsageError("%s must be an integer, not %r" % (path, value))
+
+
+def _fraction(value, path):
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("%s must be an integer or a fraction, not %r" % (path, value))
+
+
 def parse_recipe(doc):
     kind = _need(doc, "kind", "recipe")
+
+    def rank():
+        return _int(_need(doc, "n", "recipe"), "recipe.n")
+
     if kind == "quantum-borel":
         return cat.QuantumBorel()
     if kind == "rational-differential":
-        return cat.RationalDifferential(int(_need(doc, "n", "recipe")),
-                                        doc.get("group", "trivial"))
+        return cat.RationalDifferential(rank(), doc.get("group", "trivial"))
     if kind == "trigonometric-differential":
-        return cat.TrigonometricDifferential(int(_need(doc, "n", "recipe")),
-                                             doc.get("group", "trivial"))
+        return cat.TrigonometricDifferential(rank(), doc.get("group", "trivial"))
     if kind == "ore":
         coeffs = _need(doc, "p", "recipe")
-        return cat.OreFamily(tuple(Fraction(str(c)) for c in coeffs))
+        return cat.OreFamily(tuple(_fraction(c, "recipe.p") for c in coeffs))
     if kind == "shift-flag":
-        return cat.ShiftFlag(int(_need(doc, "n", "recipe")),
-                             doc.get("group", "trivial"))
+        return cat.ShiftFlag(rank(), doc.get("group", "trivial"))
     if kind == "gkv-hecke":
         return cat.GKVHecke(doc.get("cartan", "A1"),
                             doc.get("variant", "multiplicative"))
     if kind == "cherednik":
-        return cat.Cherednik(int(_need(doc, "n", "recipe")),
-                             doc.get("group", "S2"))
+        return cat.Cherednik(rank(), doc.get("group", "S2"))
     raise UsageError("unknown recipe.kind %r (see the catalog subcommand)" % kind)
 
 
 def parse_point(setting, coords):
     if coords is None:
         raise UsageError("missing config field: point")
-    vals = [setting.ring.params.from_fraction(Fraction(str(c))) for c in coords]
+    nvars = setting.ring.nvars
+    if not isinstance(coords, (list, tuple)) or len(coords) != nvars:
+        raise UsageError("point must be a list of %d coordinates" % nvars)
+    vals = [setting.ring.params.from_fraction(_fraction(c, "point[%d]" % i))
+            for i, c in enumerate(coords)]
     return PointIdeal(setting.ring, vals)
 
 
@@ -96,7 +118,8 @@ def parse_extra_generator(setting, doc, idx):
     ring = setting.ring
     total = setting.zero()
     for t in terms:
-        scalar = ring.params.from_fraction(Fraction(str(t.get("scalar", "1"))))
+        scalar = ring.params.from_fraction(
+            _fraction(t.get("scalar", "1"), "extra_generators[%d].scalar" % idx))
         num = ring.monomial(tuple(t.get("num_exps", [0] * ring.nvars)), scalar)
         den_exps = t.get("den_exps")
         coeff = RatFunc.of(num) if den_exps is None else \
@@ -124,7 +147,11 @@ def load_config(path):
 
 def build_from_config(config, args):
     recipe = parse_recipe(_need(config, "recipe", ""))
-    setting = cat.build_setting(recipe)
+    try:
+        setting = cat.build_setting(recipe)
+    except ValueError as exc:
+        # the catalog rejects what it cannot build: a group name, a rank
+        raise UsageError("recipe: %s" % exc)
     setting.validate()
     gens = cat.standard_generators(setting)
     if "generators" in config:
@@ -148,7 +175,8 @@ def build_from_config(config, args):
     bounds.setdefault("word_length", 3)
     bounds.setdefault("orbit_window", 8)
     for k, v in bounds.items():
-        if int(v) < 0 or (k != "orbit_window" and int(v) < 1):
+        bounds[k] = v = _int(v, "bounds.%s" % k)
+        if v < 0 or (k != "orbit_window" and v < 1):
             raise UsageError("bounds.%s must be positive" % k)
     return setting, OrderPresentation(setting, gens), bounds
 

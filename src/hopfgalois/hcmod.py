@@ -14,19 +14,13 @@ reported, never silently discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 
 from . import linalg
 from .polyring import Jet, RatFunc, taylor_jet
+from .sparse import add_into, add_terms
 from .stabilizer import PointIdeal, full_group_span, stab_group
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class DistributionVector:
@@ -44,16 +38,10 @@ class DistributionVector:
             return
         for i, (p, tab) in enumerate(self.entries):
             if all(a == b for a, b in zip(p, coords)):
-                for a, c in table.items():
-                    if a in tab:
-                        s = tab[a] + c
-                        if s.is_zero():
-                            del tab[a]
-                        else:
-                            tab[a] = s
-                    else:
-                        tab[a] = c
-                if not tab:
+                tab = add_terms(tab, table)
+                if tab:
+                    self.entries[i] = (p, tab)
+                else:
                     del self.entries[i]
                 return
         self.entries.append((tuple(coords), table))
@@ -69,7 +57,7 @@ class DistributionVector:
         """The functional f -> (d^index f)(p), the classical delta derivative."""
         c = ring.params.from_fraction(1)
         for k in index:
-            c = c * _factorial(k)
+            c = c * factorial(k)
         return cls(ring, [(tuple(coords), {tuple(index): c})])
 
     def is_zero(self):
@@ -142,13 +130,7 @@ def distribution_action(element, xi, jet_order):
             for a, ca in table.items():
                 for b, cb in jc.coeffs.items():
                     if all(x <= y for x, y in zip(b, a)):
-                        idx = tuple(y - x for x, y in zip(b, a))
-                        prior = tab.get(idx)
-                        val = ca * cb if prior is None else prior + ca * cb
-                        if val.is_zero():
-                            tab.pop(idx, None)
-                        else:
-                            tab[idx] = val
+                        add_into(tab, tuple(y - x for x, y in zip(b, a)), ca * cb)
             if not tab:
                 continue
             # group dual: transport the point along the inverse automorphism
@@ -183,14 +165,8 @@ def distribution_action(element, xi, jet_order):
                         if sum(beta) > sum(a):
                             continue
                         cb = jb[a]
-                        if cb.is_zero():
-                            continue
-                        prior = newtab.get(beta)
-                        val = ca * cb if prior is None else prior + ca * cb
-                        if val.is_zero():
-                            newtab.pop(beta, None)
-                        else:
-                            newtab[beta] = val
+                        if not cb.is_zero():
+                            add_into(newtab, beta, ca * cb)
                 tab = newtab
             # primitive duals, one generator application at a time
             for j, power in enumerate(alpha):
@@ -210,13 +186,7 @@ def distribution_action(element, xi, jet_order):
                                 nu = tuple(y - x for x, y in zip(mu, a))
                                 target = tuple(x + (1 if k == v else 0)
                                                for k, x in enumerate(nu))
-                                weight = ca * cmu * (nu[v] + 1)
-                                prior = newtab.get(target)
-                                val = weight if prior is None else prior + weight
-                                if val.is_zero():
-                                    newtab.pop(target, None)
-                                else:
-                                    newtab[target] = val
+                                add_into(newtab, target, ca * cmu * (nu[v] + 1))
                     tab = newtab
             final = {}
             for a, c in tab.items():
@@ -527,23 +497,24 @@ def invariant_coordinate_subspaces(matrices, dim):
     return out
 
 
+def _closure_dim(params, matrices, basis):
+    """dim of the span of ``basis`` closed under the matrices."""
+    while True:
+        candidates = list(basis)
+        for M in matrices:
+            for v in basis:
+                candidates.append(_mat_vec(params, M, v))
+        red, piv = linalg.row_reduce(candidates)
+        if len(piv) == len(basis):
+            return len(basis)
+        basis = red[:len(piv)]
+
+
 def cyclic_closure_dims(matrices, dim, params):
     """dim of the submodule generated by each coordinate basis vector."""
-    dims = []
-    for j in range(dim):
-        basis = [[params.one if i == j else params.zero for i in range(dim)]]
-        while True:
-            candidates = list(basis)
-            for M in matrices:
-                for v in basis:
-                    candidates.append(_mat_vec(params, M, v))
-            red, piv = linalg.row_reduce(candidates)
-            red = red[:len(piv)]
-            if len(red) == len(basis):
-                break
-            basis = red
-        dims.append(len(basis))
-    return dims
+    return [_closure_dim(params, matrices,
+                         [[params.one if i == j else params.zero for i in range(dim)]])
+            for j in range(dim)]
 
 
 def scalar_module_check(p_poly, lam, mu):
@@ -596,19 +567,7 @@ def local_finiteness_check(module, presentation, r, point, monoid_window=3):
         if g.is_zero() or g.filtration_degree() <= r:
             low_names.append(name)
             mats.append(module.matrices[name])
-    basis = [list(ordinary[0])]
-    d = module.dim
-    while True:
-        candidates = list(basis)
-        for M in mats:
-            for v in basis:
-                candidates.append(_mat_vec(params, M, v))
-        red, piv = linalg.row_reduce(candidates)
-        red = red[:len(piv)]
-        if len(red) == len(basis):
-            break
-        basis = red
-    generates = len(basis) == d
+    generates = _closure_dim(params, mats, [list(ordinary[0])]) == module.dim
     span = full_group_span(S, monoid_window)
     stab = stab_group(span, point)
     inf_slab = 1

@@ -62,19 +62,12 @@ class NumberField:
     @classmethod
     def cyclotomic(cls, n, gen_name="zeta"):
         """Q adjoined a primitive n-th root of unity (n-th cyclotomic poly)."""
-        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
-        for d in range(1, n):
-            if n % d == 0:
-                sub = cls._cyclotomic_coeffs(d)
-                poly, rem = _polydiv(poly, sub)
-                assert not any(rem)
-        while len(poly) > 1 and poly[-1] == 0:
-            poly.pop()
-        return cls(tuple(poly), gen_name=gen_name)
+        return cls(tuple(cls._cyclotomic_coeffs(n)), gen_name=gen_name)
 
     @staticmethod
     def _cyclotomic_coeffs(n):
-        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+        """Coefficients of the n-th cyclotomic polynomial, constant first."""
+        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
         for d in range(1, n):
             if n % d == 0:
                 sub = NumberField._cyclotomic_coeffs(d)

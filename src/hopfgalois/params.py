@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numberfield import NumberField
+from .sparse import power
 
 
 def _dict_add(field, a, b):
@@ -315,14 +316,7 @@ class ParamElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.field.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import ParamElem, ParamField
+from .sparse import add_into, add_terms, mul_terms, power
 
 
 def _grlex(e):
@@ -103,7 +104,7 @@ class PolyRing:
 
 
 class Poly:
-    """Sparse polynomial; zero coefficients are never stored."""
+    """Sparse polynomial; zero coefficients are never stored (see ``sparse``)."""
 
     __slots__ = ("ring", "terms")
 
@@ -167,17 +168,7 @@ class Poly:
             other = self.ring.const(c)
         else:
             self._check_ring(other)
-        out = dict(self.terms)
-        for e, v in other.terms.items():
-            if e in out:
-                s = out[e] + v
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = v
-        return Poly(self.ring, out, _clean=True)
+        return Poly(self.ring, add_terms(self.terms, other.terms), _clean=True)
 
     __radd__ = __add__
 
@@ -204,34 +195,14 @@ class Poly:
                 return self.ring.zero
             return Poly(self.ring, {e: v * c for e, v in self.terms.items()}, _clean=True)
         self._check_ring(other)
-        out = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                p = v1 * v2
-                if e in out:
-                    s = out[e] + p
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not p.is_zero():
-                    out[e] = p
-        return Poly(self.ring, out, _clean=True)
+        return Poly(self.ring, mul_terms(self.terms, other.terms), _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.ring.one)
 
     def __truediv__(self, other):
         return RatFunc.of(self) / other
@@ -367,24 +338,11 @@ def try_divide(num, den):
         qc = c / dcoeff
         quo[qe] = qc
         for de, dc in dpoly.terms.items():
-            ke = tuple(a + b for a, b in zip(qe, de))
-            p = qc * dc
-            if ke in nwork:
-                s = nwork[ke] - p
-                if s.is_zero():
-                    del nwork[ke]
-                else:
-                    nwork[ke] = s
-            else:
-                nwork[ke] = -p
+            add_into(nwork, tuple(a + b for a, b in zip(qe, de)), -(qc * dc))
     # net shift back: quotient * x^(shift_d - shift_n)
+    # (a non-Laurent variable is never shifted, so no exponent goes negative)
     back = tuple(d - n for n, d in zip(shift_n, shift_d))
-    q = Poly(ring, quo).shift_monomial(back)
-    for e in q.terms:
-        for i, x in enumerate(e):
-            if x < 0 and not ring.laurent[i]:
-                return None
-    return q
+    return Poly(ring, quo).shift_monomial(back)
 
 
 class RatFunc:
@@ -432,11 +390,7 @@ class RatFunc:
             else:
                 shift.append(-min(nmin[i], dmin[i]))
         if any(shift):
-            sh = tuple(shift)
-            dnum = {tuple(a + b for a, b in zip(e, sh)): c for e, c in num.terms.items()}
-            dden = {tuple(a + b for a, b in zip(e, sh)): c for e, c in den.terms.items()}
-            num = Poly(ring, dnum, _clean=True)
-            den = Poly(ring, dden, _clean=True)
+            num, den = num.shift_monomial(shift), den.shift_monomial(shift)
         return num, den
 
     @classmethod
@@ -530,14 +484,7 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatFunc(self.ring.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, RatFunc(self.ring.one))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -588,31 +535,11 @@ class Jet:
         self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero() and sum(e) <= order}
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return Jet(self.ring, self.order, out)
+        return Jet(self.ring, self.order, add_terms(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > self.order:
-                    continue
-                p = c1 * c2
-                if e in out:
-                    out[e] = out[e] + p
-                else:
-                    out[e] = p
-        return Jet(self.ring, self.order, out)
+        return Jet(self.ring, self.order,
+                   mul_terms(self.coeffs, other.coeffs, self.order))
 
     def scale(self, c):
         return Jet(self.ring, self.order, {e: v * c for e, v in self.coeffs.items()})
@@ -636,14 +563,7 @@ class Jet:
 
     def __pow__(self, n):
         zero_exp = (0,) * self.ring.nvars
-        out = Jet(self.ring, self.order, {zero_exp: self.ring.params.one})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Jet(self.ring, self.order, {zero_exp: self.ring.params.one}))
 
     def __getitem__(self, e):
         return self.coeffs.get(tuple(e), self.ring.params.zero)

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .params import ParamElem
 from .polyring import Poly, RatFunc
+from .sparse import add_into, add_terms, mul_terms, power
 
 
 class GroupPart(NamedTuple):
@@ -224,23 +225,12 @@ class Setting:
             return self._conj_mono_cache[key]
         ngen = len(self.inf_gens)
         out = {(0,) * ngen: self.ring.params.one}
-        for g, power in enumerate(alpha):
-            lin = self.conj_gen(w, g)
-            for _ in range(power):
-                nxt = {}
-                for beta, c in out.items():
-                    for cc, g2 in lin:
-                        nb = tuple(x + (1 if k == g2 else 0) for k, x in enumerate(beta))
-                        p = c * cc
-                        if nb in nxt:
-                            s = nxt[nb] + p
-                            if s.is_zero():
-                                del nxt[nb]
-                            else:
-                                nxt[nb] = s
-                        elif not p.is_zero():
-                            nxt[nb] = p
-                out = nxt
+        for g, k in enumerate(alpha):
+            lin = {}
+            for cc, g2 in self.conj_gen(w, g):
+                add_into(lin, tuple(1 if j == g2 else 0 for j in range(ngen)), cc)
+            for _ in range(k):
+                out = mul_terms(out, lin)
         self._conj_mono_cache[key] = out
         return out
 
@@ -341,7 +331,11 @@ class Setting:
 
 
 class SmashElement:
-    """A finite sum of coefficient * group part * infinitesimal monomial."""
+    """A finite sum of coefficient * group part * infinitesimal monomial.
+
+    ``terms`` maps (group part, alpha) to a nonzero RatFunc; zero
+    coefficients are never stored (see ``sparse``).
+    """
 
     __slots__ = ("setting", "terms")
 
@@ -375,17 +369,7 @@ class SmashElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        return SmashElement(self.setting, out, _clean=True)
+        return SmashElement(self.setting, add_terms(self.terms, other.terms), _clean=True)
 
     __radd__ = __add__
 
@@ -426,17 +410,8 @@ class SmashElement:
                         continue
                     g = S.gp_mul(g1, g2)
                     for gamma, e in conj.items():
-                        alpha = tuple(x + y for x, y in zip(gamma, a2))
-                        key = (g, alpha)
-                        add = coeff_base * e
-                        if key in out:
-                            s = out[key] + add
-                            if s.is_zero():
-                                del out[key]
-                            else:
-                                out[key] = s
-                        elif not add.is_zero():
-                            out[key] = add
+                        add_into(out, (g, tuple(x + y for x, y in zip(gamma, a2))),
+                                 coeff_base * e)
         return SmashElement(S, out, _clean=True)
 
     def __rmul__(self, other):
@@ -448,14 +423,7 @@ class SmashElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        out = self.setting.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.setting.one())
 
     def _push_left(self, alpha, f):
         """E^alpha * f = sum c_beta * E^beta with coefficients on the left."""
@@ -468,20 +436,13 @@ class SmashElement:
         out = {}
         derived = gen.act(f)
         if not derived.is_zero():
-            for beta, c in self._push_left(rest, derived).items():
-                if beta in out:
-                    out[beta] = out[beta] + c
-                else:
-                    out[beta] = c
+            out = self._push_left(rest, derived)
         twisted = gen.twist_act(f)
         if not twisted.is_zero():
             for beta, c in self._push_left(rest, twisted).items():
                 nb = tuple(x + (1 if k == j else 0) for k, x in enumerate(beta))
-                if nb in out:
-                    out[nb] = out[nb] + c
-                else:
-                    out[nb] = c
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                add_into(out, nb, c)
+        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -518,15 +479,7 @@ class SmashElement:
         for (g, alpha), f in self.terms.items():
             moved = S.gp_act(S.gp_inv(g), f)
             for beta, c in self._push_right(moved, alpha).items():
-                key = (g, beta)
-                if key in collected:
-                    s = collected[key] + c
-                    if s.is_zero():
-                        del collected[key]
-                    else:
-                        collected[key] = s
-                elif not c.is_zero():
-                    collected[key] = c
+                add_into(collected, (g, beta), c)
         return [(g, beta, c) for (g, beta), c in
                 sorted(collected.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
 
@@ -539,21 +492,12 @@ class SmashElement:
         rest = tuple(x - (1 if k == j else 0) for k, x in enumerate(alpha))
         gen = S.inf_gens[j]
         h = gen.twist_inv_act(f)
-        out = {}
-        for beta, c in self._push_right(h, rest).items():
-            nb = tuple(x + (1 if k == j else 0) for k, x in enumerate(beta))
-            if nb in out:
-                out[nb] = out[nb] + c
-            else:
-                out[nb] = c
+        out = {tuple(x + (1 if k == j else 0) for k, x in enumerate(beta)): c
+               for beta, c in self._push_right(h, rest).items()}
         dh = gen.act(h)
         if not dh.is_zero():
-            for beta, c in self._push_right(-dh, rest).items():
-                if beta in out:
-                    out[beta] = out[beta] + c
-                else:
-                    out[beta] = c
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            out = add_terms(out, self._push_right(-dh, rest))
+        return out
 
     def expand_right_form(self, right_terms):
         """Rebuild the element from right-normal-form terms (for round trips)."""

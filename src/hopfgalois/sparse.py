@@ -1,0 +1,88 @@
+"""The sparse-term kernel shared by every finite sum in the package.
+
+A polynomial (exponent -> coefficient), a smash-product element
+((group part, alpha) -> coefficient), a jet and a local distribution
+(multi-index -> coefficient) are all dicts from keys to coefficients that
+carry ``+``, ``*`` and ``is_zero()``.  This module owns their invariant:
+zero coefficients are never stored.
+
+Order contract.  Coefficient representations are not canonical (two
+rational functions can be equal and print differently), so the order of
+additions is part of the result.  Every function here therefore keeps the
+caller's order exactly:
+
+* new keys are appended in the order their first term arrives;
+* each term is added on the right of the running sum, ``sum + term``;
+* a key whose running sum cancels is deleted at once; if a later term
+  brings it back, that term is stored as is and the key goes to the end.
+
+The loops are written out in ``add_terms`` and ``mul_terms`` rather than
+calling ``add_into`` per term: ``Poly.__mul__`` runs through here millions
+of times.
+"""
+
+from __future__ import annotations
+
+
+def add_into(out, key, value):
+    """out[key] += value in place, dropping the key if the sum is zero."""
+    if key in out:
+        s = out[key] + value
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    elif not value.is_zero():
+        out[key] = value
+
+
+def add_terms(a, b):
+    """The sum a + b as a new dict; ``b`` must store no zeros."""
+    out = dict(a)
+    for k, v in b.items():
+        if k in out:
+            s = out[k] + v
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+        else:
+            out[k] = v
+    return out
+
+
+def mul_terms(a, b, max_degree=None):
+    """The product a * b as a new dict: exponent tuples add, coefficients multiply.
+
+    Products whose exponent sum exceeds ``max_degree`` are skipped (a
+    truncated power series); ``None`` keeps them all.
+    """
+    out = {}
+    b_items = b.items()
+    for e1, v1 in a.items():
+        for e2, v2 in b_items:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if max_degree is not None and sum(e) > max_degree:
+                continue
+            p = v1 * v2
+            if e in out:
+                s = out[e] + p
+                if s.is_zero():
+                    del out[e]
+                else:
+                    out[e] = s
+            elif not p.is_zero():
+                out[e] = p
+    return out
+
+
+def power(base, n, one):
+    """base ** n for n >= 0 by square-and-multiply; ``one`` is the unit."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out

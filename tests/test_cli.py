@@ -1,8 +1,9 @@
 """The command-line driver: configs, reports, determinism, exit codes."""
 
+import argparse
 import json
 
-from hopfgalois.cli import main
+from hopfgalois.cli import build_from_config, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -50,6 +51,36 @@ def test_verify_malformed_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"recipe": {"n": 2}})
     assert main(["verify", cfg]) == 2
     assert "recipe.kind" in capsys.readouterr().err
+    # values that do not parse, or name what the catalog cannot build
+    flag = {"kind": "shift-flag", "n": 2, "group": "S2"}
+    cases = [
+        ("verify", {"recipe": {"kind": "cherednik", "n": "two"}}, "recipe.n"),
+        ("verify", {"recipe": {"kind": "cherednik", "n": 1.7}}, "recipe.n"),
+        ("verify", {"recipe": {"kind": "quantum-borel"},
+                    "bounds": {"degree": "abc"}}, "bounds.degree"),
+        ("verify", {"recipe": {"kind": "rational-differential", "n": 1,
+                               "group": "Q7"}}, "Q7"),
+        ("verify", {"recipe": {"kind": "cherednik", "n": 2, "group": "S3"}},
+         "S3"),
+        ("stabilizer", {"recipe": flag, "point": ["1"]}, "point"),
+        ("stabilizer", {"recipe": flag, "point": ["1", "x"]}, "point[1]"),
+        ("verify", {"recipe": {"kind": "ore", "p": [1]}, "extra_generators": [
+            {"terms": [{"scalar": "x", "inf": [1]}]}]}, "scalar"),
+    ]
+    for i, (command, doc, needle) in enumerate(cases):
+        cfg = write_config(tmp_path, doc, "bad%d.json" % i)
+        assert main([command, cfg]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and needle in err, err
+
+
+def test_bounds_are_read_as_integers():
+    config = {"recipe": {"kind": "ore", "p": [1]},
+              "bounds": {"degree": "3", "jet_order": 2.0}}
+    _, _, bounds = build_from_config(config, argparse.Namespace())
+    assert bounds == {"degree": 3, "jet_order": 2, "word_length": 3,
+                      "orbit_window": 8}
+    assert all(type(v) is int for v in bounds.values())
 
 
 def test_missing_config_file(capsys):

@@ -27,6 +27,18 @@ def test_cyclotomic_root_of_unity():
     assert nf.add(nf.add(nf.mul(z, z), z), nf.one) == nf.zero
 
 
+@pytest.mark.parametrize("n, coeffs", [
+    (4, (1, 0, 1)),              # z^2 + 1
+    (6, (1, -1, 1)),             # z^2 - z + 1
+    (12, (1, 0, -1, 0, 1)),      # z^4 - z^2 + 1
+])
+def test_cyclotomic_minimal_polynomials(n, coeffs):
+    nf = NumberField.cyclotomic(n)
+    assert nf.min_poly == tuple(Fraction(c) for c in coeffs)
+    z = nf.gen()
+    assert [k for k in range(1, n + 1) if nf.pow(z, k) == nf.one] == [n]
+
+
 def test_number_field_inverse():
     nf = NumberField.cyclotomic(5)
     z = nf.gen()

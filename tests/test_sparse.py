@@ -1,0 +1,112 @@
+"""The sparse-term kernel: zero pruning, the order contract, truncation, powers."""
+
+from functools import reduce
+
+import pytest
+
+from hopfgalois.catalog import QuantumBorel, RationalDifferential, build_setting
+from hopfgalois.params import ParamField
+from hopfgalois.polyring import PolyRing, RatFunc
+from hopfgalois.sparse import add_into, add_terms, mul_terms, power
+
+PF = ParamField()
+
+
+def c(x):
+    return PF.from_fraction(x)
+
+
+class Sym:
+    """A coefficient that spells out the expression it was built by."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __add__(self, other):
+        return Sym("(%s + %s)" % (self.text, other.text))
+
+    def __mul__(self, other):
+        return Sym("%s.%s" % (self.text, other.text))
+
+    def is_zero(self):
+        return self.text == "0"
+
+
+def test_a_sum_that_cancels_removes_its_key():
+    out = {"a": c(1), "b": c(2)}
+    add_into(out, "a", c(-1))
+    assert list(out) == ["b"]
+    add_into(out, "z", c(0))
+    assert list(out) == ["b"]
+    assert list(add_terms({"a": c(1), "b": c(2)}, {"b": c(-2)})) == ["a"]
+    # (x + 1)(x - 1): the two x terms cancel
+    prod = mul_terms({(1,): c(1), (0,): c(1)}, {(1,): c(1), (0,): c(-1)})
+    assert list(prod) == [(2,), (0,)]
+
+
+def test_a_key_that_cancels_and_comes_back_goes_to_the_end():
+    # the order contract: a cancelled key is deleted at once, and the term
+    # that brings it back is stored as is, after every key already present
+    out = {"a": c(1), "b": c(1)}
+    add_into(out, "a", c(-1))
+    three = c(3)
+    add_into(out, "a", three)
+    assert list(out) == ["b", "a"] and out["a"] is three
+    # (1 + x + x^2)(1 - x + x^2): x^2 cancels after two products and
+    # comes back with the third, so it lands after x^4
+    a = {(0,): c(1), (1,): c(1), (2,): c(1)}
+    b = {(2,): c(1), (1,): c(-1), (0,): c(1)}
+    prod = mul_terms(a, b)
+    assert list(prod) == [(0,), (4,), (2,)]
+    assert all(v.is_one() for v in prod.values())
+
+
+def test_terms_are_added_on_the_right_in_the_callers_order():
+    a = {(0,): Sym("a0"), (1,): Sym("a1")}
+    b = {(1,): Sym("b1"), (0,): Sym("b0")}
+    prod = mul_terms(a, b)
+    assert list(prod) == [(1,), (0,), (2,)]
+    assert prod[(1,)].text == "(a0.b1 + a1.b0)"
+    total = add_terms({"k": Sym("x"), "m": Sym("y")}, {"n": Sym("w"), "k": Sym("z")})
+    assert list(total) == ["k", "m", "n"] and total["k"].text == "(x + z)"
+
+
+def test_a_cap_drops_only_the_products_above_it():
+    a = {(0, 0): c(1), (1, 0): c(2), (0, 2): c(3)}
+    b = {(0, 0): c(5), (1, 1): c(7), (2, 0): c(-1)}
+    full = mul_terms(a, b)
+    capped = mul_terms(a, b, max_degree=2)
+    assert sorted(capped) == sorted(e for e in full if sum(e) <= 2)
+    assert all(capped[e] == full[e] for e in capped)
+    assert any(sum(e) == 2 for e in capped) and any(sum(e) > 2 for e in full)
+    assert mul_terms(a, b, max_degree=0) == {(0, 0): c(5)}
+
+
+def test_power_zero_is_the_unit():
+    one = object()
+    assert power("anything", 0, one) is one
+
+
+def _sample(name):
+    """(x, one) for one element of each multiplicative layer."""
+    if name in ("poly", "ratfunc", "param"):
+        ring = PolyRing(("x", "y"), params=ParamField(("q",)))
+        x, y = ring.var(0), ring.var(1)
+        q = ring.params.param("q")
+        return {"poly": (x * q + y - 1, ring.one),
+                "ratfunc": (RatFunc(x + q, y * y - x), RatFunc(ring.one)),
+                "param": (q + 2, ring.params.one)}[name]
+    if name == "quantum-borel":
+        S = build_setting(QuantumBorel())
+        return S.inf_by_name("E") + S.from_ratfunc(S.ring.var(0)), S.one()
+    S = build_setting(RationalDifferential(2, "S2"))
+    return S.group_element(1) + S.inf_element(0).scale(RatFunc.of(S.ring.var(1))), S.one()
+
+
+@pytest.mark.parametrize("name", ["poly", "ratfunc", "param", "quantum-borel", "s2"])
+def test_power_agrees_with_repeated_products(name):
+    x, one = _sample(name)
+    for n in range(6):
+        expected = reduce(lambda acc, _: acc * x, range(n), one)
+        assert power(x, n, one) == expected, n
+        assert x ** n == expected, n
