@@ -112,21 +112,51 @@ def parse_point(setting, coords):
     return PointIdeal(setting.ring, vals)
 
 
+def _int_vector(value, length, path, nonnegative=None):
+    """A list of ``length`` integers; entry i may not be negative where
+    ``nonnegative[i]`` is true."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise UsageError("%s must be a list of length %d" % (path, length))
+    vec = tuple(_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value))
+    for i, v in enumerate(vec):
+        if v < 0 and nonnegative is not None and nonnegative[i]:
+            raise UsageError("%s[%d] may not be negative, not %d" % (path, i, v))
+    return vec
+
+
 def parse_extra_generator(setting, doc, idx):
+    if not isinstance(doc, dict):
+        raise UsageError("extra_generators[%d] must be an object" % idx)
     name = doc.get("name", "extra%d" % idx)
     terms = _need(doc, "terms", "extra_generators[%d]" % idx)
+    if not isinstance(terms, list):
+        raise UsageError("extra_generators[%d].terms must be a list" % idx)
     ring = setting.ring
+    # only Laurent variables take negative exponents
+    polynomial = [not laurent for laurent in ring.laurent]
+    zeros = [0] * ring.nvars
+    ninf = len(setting.inf_gens)
     total = setting.zero()
-    for t in terms:
+    for k, t in enumerate(terms):
+        path = "extra_generators[%d].terms[%d]" % (idx, k)
+        if not isinstance(t, dict):
+            raise UsageError("%s must be an object" % path)
         scalar = ring.params.from_fraction(
-            _fraction(t.get("scalar", "1"), "extra_generators[%d].scalar" % idx))
-        num = ring.monomial(tuple(t.get("num_exps", [0] * ring.nvars)), scalar)
+            _fraction(t.get("scalar", "1"), path + ".scalar"))
+        num = ring.monomial(_int_vector(t.get("num_exps", zeros), ring.nvars,
+                                        path + ".num_exps", polynomial), scalar)
         den_exps = t.get("den_exps")
         coeff = RatFunc.of(num) if den_exps is None else \
-            RatFunc(num, ring.monomial(tuple(den_exps)))
-        w = t.get("group", 0)
-        mu = tuple(t.get("mu", [0] * setting.monoid_rank))
-        alpha = t.get("inf", [0] * len(setting.inf_gens))
+            RatFunc(num, ring.monomial(_int_vector(den_exps, ring.nvars,
+                                                   path + ".den_exps", polynomial)))
+        w = _int(t.get("group", 0), path + ".group")
+        if not 0 <= w < setting.group_size:
+            raise UsageError("%s.group must be a group element index from 0 "
+                             "to %d, not %d" % (path, setting.group_size - 1, w))
+        mu = _int_vector(t.get("mu", [0] * setting.monoid_rank),
+                         setting.monoid_rank, path + ".mu")
+        alpha = _int_vector(t.get("inf", [0] * ninf), ninf, path + ".inf",
+                            [True] * ninf)
         el = setting.group_element(w, mu)
         for j, power in enumerate(alpha):
             if power:

@@ -70,31 +70,51 @@ def preserves_lattice(presentation, degree_bound):
 
     Applies every generator and every product of two generators to each
     monomial of degree <= bound (window [-d, d] on Laurent variables).
+
+    A product XY is never formed: (XY)(f) is computed as X(Y(f)), from the
+    images Y(f) kept by the pass over single generators.  The hat map is an
+    algebra action, so both are the same rational function, and lattice
+    membership does not depend on how it was reached, because every
+    ``RatFunc`` is reduced by a complete divisibility test.  The scan order,
+    and so the operator and monomial of the first counterexample, is that
+    of the expanded products: generators first, then pairs, with monomials
+    innermost.
     """
     S = presentation.setting
     ring = S.ring
     monomials = ring.monomials_up_to(degree_bound, include_negative=True)
-    ops = list(presentation.generators)
-    for i, (n1, x1) in enumerate(presentation.generators):
-        for n2, x2 in presentation.generators:
-            ops.append(("%s*%s" % (n1, n2), x1 * x2))
-    for opname, op in ops:
+    provenance = "lattice preservation: X(f) stays polynomial for polynomial f"
+    bounds = {"degree": degree_bound}
+
+    def counterexample(opname, exps, image):
+        return VerificationReport(
+            "preserves-lattice", COUNTEREXAMPLE,
+            witness={"operator": opname,
+                     "monomial": _monomial_name(ring, exps),
+                     "image": str(image)},
+            bounds=bounds, provenance=provenance)
+
+    # images[j][k] = Y_j(f_k), by position: an extra generator may reuse a name
+    images = []
+    for name, y in presentation.generators:
+        row = []
         for exps in monomials:
-            image = op.apply(RatFunc.of(ring.monomial(exps)))
+            image = y.apply(RatFunc.of(ring.monomial(exps)))
             if not image.is_in_lattice():
-                return VerificationReport(
-                    "preserves-lattice", COUNTEREXAMPLE,
-                    witness={"operator": opname,
-                             "monomial": _monomial_name(ring, exps),
-                             "image": str(image)},
-                    bounds={"degree": degree_bound},
-                    provenance="lattice preservation: X(f) stays polynomial for "
-                               "polynomial f")
+                return counterexample(name, exps, image)
+            row.append(image)
+        images.append(row)
+    for n1, x in presentation.generators:
+        for (n2, _), row in zip(presentation.generators, images):
+            for exps, y_image in zip(monomials, row):
+                image = x.apply(y_image)
+                if not image.is_in_lattice():
+                    return counterexample("%s*%s" % (n1, n2), exps, image)
+    n = len(presentation.generators)
     return VerificationReport(
         "preserves-lattice", VERIFIED,
-        witness={"operators": len(ops), "monomials": len(monomials)},
-        bounds={"degree": degree_bound},
-        provenance="lattice preservation: X(f) stays polynomial for polynomial f")
+        witness={"operators": n + n * n, "monomials": len(monomials)},
+        bounds=bounds, provenance=provenance)
 
 
 def split_decompose(element):

@@ -67,6 +67,25 @@ def test_verify_malformed_config(tmp_path, capsys):
         ("verify", {"recipe": {"kind": "ore", "p": [1]}, "extra_generators": [
             {"terms": [{"scalar": "x", "inf": [1]}]}]}, "scalar"),
     ]
+    # extra generator terms whose parts do not fit the setting
+    ore = {"kind": "ore", "p": [1]}
+    s2 = {"kind": "rational-differential", "n": 2, "group": "S2"}
+    for recipe, term, needle in [
+            (ore, {"num_exps": [1, 2]}, "num_exps"),
+            (ore, {"den_exps": [1, 2]}, "den_exps"),
+            (ore, {"num_exps": [-1]}, "num_exps[0]"),
+            (ore, {"num_exps": [1.5]}, "num_exps[0]"),
+            (ore, {"group": 5}, "group"),
+            (s2, {"group": -1}, "group"),
+            (ore, {"group": "e"}, "group"),
+            (ore, {"inf": [1, 1]}, "inf"),
+            (ore, {"inf": [-1]}, "inf[0]"),
+            (ore, {"mu": [1]}, "mu"),
+            (ore, "t", "terms[0]")]:
+        cases.append(("verify", {"recipe": recipe, "extra_generators": [
+            {"terms": [term]}]}, needle))
+    cases.append(("verify", {"recipe": ore, "extra_generators": [5]},
+                  "extra_generators[0]"))
     for i, (command, doc, needle) in enumerate(cases):
         cfg = write_config(tmp_path, doc, "bad%d.json" % i)
         assert main([command, cfg]) == 2, doc

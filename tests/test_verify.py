@@ -9,6 +9,7 @@ from hopfgalois.catalog import (Cherednik, GKVHecke, OreFamily, QuantumBorel,
                                 demazure_lusztig, dunkl_operator, ore_generator,
                                 standard_generators)
 from hopfgalois.polyring import RatFunc
+from hopfgalois.smash import SmashElement
 from hopfgalois.stabilizer import PointIdeal
 from hopfgalois.verify import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
                                OrderPresentation, center_membership,
@@ -28,6 +29,8 @@ def test_preserves_lattice_tsq():
     rep = preserves_lattice(tsq_presentation(), 4)
     assert rep.status == VERIFIED
     assert rep.bounds == {"degree": 4}
+    # two generators and their four ordered products
+    assert rep.witness["operators"] == 2 + 2 ** 2
 
 
 def test_preserves_lattice_counterexample():
@@ -41,6 +44,33 @@ def test_preserves_lattice_counterexample():
     img = bad.apply(RatFunc.of(S.ring.var(0)))
     assert str(img) == rep.witness["image"]
     assert not img.is_in_lattice()
+
+
+def test_preserves_lattice_counterexample_only_in_a_product():
+    # t^4 and t^-1 d^4 keep every monomial of degree <= 3 polynomial, but
+    # (t^-1 d^4)(t^4 * 1) = 24/t does not stay in the lattice
+    S = build_setting(OreFamily((1,)))
+    Y = S.from_ratfunc(S.ring.var(0) ** 4)
+    Z = (S.inf_element(0) ** 4).scale(RatFunc(S.ring.one, S.ring.var(0)))
+    rep = preserves_lattice(OrderPresentation(S, [("Y", Y), ("Z", Z)]), 3)
+    assert rep.status == COUNTEREXAMPLE
+    assert rep.witness["operator"] == "Z*Y"
+    assert rep.witness["monomial"] == "1"
+    img = (Z * Y).apply(RatFunc.of(S.ring.one))
+    assert RatFunc(S.ring.const(24), S.ring.var(0)) == img
+    assert str(img) == rep.witness["image"] == "(24)/(t)"
+    assert not img.is_in_lattice()
+
+
+def test_preserves_lattice_forms_no_product(monkeypatch):
+    S = build_setting(Cherednik(2, "S2"))
+    pres = OrderPresentation(S, standard_generators(S))
+
+    def no_product(self, other):
+        raise AssertionError("preserves_lattice multiplied two elements")
+
+    monkeypatch.setattr(SmashElement, "__mul__", no_product)
+    assert preserves_lattice(pres, 2).status == VERIFIED
 
 
 def test_preserves_lattice_demazure():
