@@ -6,6 +6,18 @@ import json
 from hopfgalois.cli import build_from_config, main
 
 
+CATALOG = """\
+available recipes:
+  cherednik                    Dunkl operators D_y = t d/dy + sum_s 2c_s/(1-lambda_s) (alpha_s,y)/alpha_s (s - 1)
+  gkv-hecke                    Demazure-Lusztig operators sigma_i = q(u s_i - 1)/(u - 1) - q^-1(s_i - 1)/(u - 1)
+  ore                          k[t] and X = p(t) d/dt, subject to Xt - tX = p(t)
+  quantum-borel                k[t] with skew-primitive E: Et = 1 + q^-1 tE (quantum Weyl algebra)
+  rational-differential        C[V] with partial derivatives and a finite linear group
+  shift-flag                   k[x_1..x_n] with integer shifts x -> x + mu and a permutation group
+  trigonometric-differential   Laurent polynomials with Euler operators z d/dz and monomial group
+"""
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -18,6 +30,7 @@ def test_catalog_lists_recipes(capsys):
     assert "quantum-borel" in out
     assert "cherednik" in out
     assert len([l for l in out.splitlines() if l.startswith("  ")]) == 7
+    assert out == CATALOG
 
 
 def test_verify_quantum_borel(tmp_path):

@@ -27,6 +27,11 @@ CASES = {
     "shift-flag-s2-stabilizer": ("stabilizer", [], 0),
     "gkv-hecke-a1-verify": ("verify", [], 0),
     "ore-verify": ("verify", [], 0),
+    "ore-module": ("module", [], 0),
+    "gkv-hecke-a1-additive-verify": ("verify", [], 0),
+    "gkv-hecke-a2-additive-verify": ("verify", [], 0),
+    "rational-differential-s2-verify": ("verify", [], 0),
+    "shift-flag-s2-verify": ("verify", [], 0),
 }
 
 
