@@ -1,19 +1,19 @@
 """Constructors for the concrete settings and their distinguished operators.
 
-Each recipe builds a validated :class:`~hopfgalois.smash.Setting`:
+Each recipe is one frozen dataclass, and the one place that knows its
+family.  Its fields are the config keys of ``recipe``, its docstring is
+the summary that ``hopfgalois catalog`` prints, and it provides
 
-* ``QuantumBorel``       k[t] with one skew-primitive E, twist t -> q^-1 t
-* ``RationalDifferential``  polynomials with partial derivatives and a
-  finite linear group
-* ``TrigonometricDifferential``  Laurent polynomials with Euler operators
-  and a group of monomial substitutions
-* ``OreFamily``          k[t] and the single generator p(t) d/dt
-* ``ShiftFlag``          polynomials with integer translations and a
-  permutation group
-* ``GKVHecke``           Demazure-Lusztig operators of type A1/A2, torus
-  (multiplicative) or vector-space (additive) variant
-* ``Cherednik``          Dunkl operators for a finite reflection group,
-  with symbolic parameters t and one c per reflection class
+* ``build()``: the :class:`~hopfgalois.smash.Setting`;
+* ``operators(setting)``: the named distinguished operators, which
+  :func:`standard_generators` lists after the lattice variables and the
+  group elements;
+* ``identities(setting)``: reports on the exact structural identities of
+  the family, the ``identities`` check of ``hopfgalois verify``.
+
+``RECIPES`` maps each config ``kind`` to its class, and
+:func:`build_setting` records the recipe on the setting it builds as
+``setting.recipe``.
 
 Reflections are detected as group elements s with rank(s - 1) = 1; their
 root form alpha_s is read off the image of (s - 1) on linear forms and
@@ -26,133 +26,407 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .numberfield import NumberField
 from .params import ParamField
-from .polyring import Poly, PolyRing, RatFunc
+from .polyring import PolyRing, RatFunc
 from .smash import InfGenerator, Setting
+from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
 
 # -- recipes ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantumBorel:
-    pass
+class Recipe:
+    """Base of the catalog recipes (see the module docstring)."""
+
+    def identities(self, setting):
+        return []
+
+
+def _report(check, ok, provenance, **extra):
+    return VerificationReport(check, VERIFIED if ok else COUNTEREXAMPLE,
+                              provenance=provenance, **extra)
 
 
 @dataclass(frozen=True)
-class RationalDifferential:
+class QuantumBorel(Recipe):
+    """k[t] with skew-primitive E: Et = 1 + q^-1 tE (quantum Weyl algebra)"""
+
+    def build(self):
+        pf = ParamField(("q",))
+        ring = PolyRing(("t",), params=pf)
+        q = pf.param("q")
+        E = InfGenerator("E", ring, {0: ring.one},
+                         twist={0: RatFunc.of(ring.var(0) * (q ** -1))},
+                         twist_inv={0: RatFunc.of(ring.var(0) * q)})
+        return Setting(ring, name="quantum-borel", inf_gens=[E], meta={"q": q})
+
+    def operators(self, setting):
+        return [("E", quantum_borel_E(setting))]
+
+    def identities(self, setting):
+        E = quantum_borel_E(setting)
+        ring = setting.ring
+        t = setting.from_ratfunc(ring.var(0))
+        q = setting.meta["q"]
+        ok = True
+        for n in range(1, 5):
+            En = E ** n
+            lhs = En * t - (t * En).scale(RatFunc.of(ring.const(q ** -n)))
+            coeff = sum((q ** -j for j in range(n)), ring.params.zero)
+            rhs = (E ** (n - 1)).scale(RatFunc.of(ring.const(coeff)))
+            ok = ok and lhs == rhs
+        return [_report("quantum-weyl-relation", ok,
+                        "E^n t - q^-n t E^n = (1 + q^-1 + ... + q^-(n-1)) E^(n-1)",
+                        witness={"powers": "n <= 4"})]
+
+
+@dataclass(frozen=True)
+class RationalDifferential(Recipe):
+    """C[V] with partial derivatives and a finite linear group"""
     n: int
     group: str = "trivial"
 
+    def build(self):
+        nf, group = _linear_group(self.group, self.n)
+        ring = PolyRing(_names("x", self.n), params=ParamField((), nf))
+        return _differential_setting(ring, "rational-differential", group)
+
+    def operators(self, setting):
+        return [("d%d" % (v + 1), setting.inf_element(v))
+                for v in range(setting.ring.nvars)]
+
 
 @dataclass(frozen=True)
-class TrigonometricDifferential:
+class TrigonometricDifferential(Recipe):
+    """Laurent polynomials with Euler operators z d/dz and monomial group"""
     n: int
     group: str = "trivial"
 
+    def build(self):
+        n = self.n
+        ring = PolyRing(_names("z", n), laurent=(True,) * n, params=ParamField(()))
+        gens, gnames = _monomial_group_gens(self.group, n)
+        elements, names, mult, inv = _enumerate(_int_identity(n), gens, gnames,
+                                                _int_mat_mul)
+        subs, conj = _monomial_subs_and_conj(ring, elements, inv)
+        inf_gens = [InfGenerator("th%d" % (v + 1), ring, {v: ring.var(v)})
+                    for v in range(n)]
+        return Setting(ring, name="trigonometric-differential",
+                       group_mult=mult, group_inv=inv, group_subs=subs,
+                       group_names=names, inf_gens=inf_gens, conj_table=conj)
+
+    def operators(self, setting):
+        return [("th%d" % (v + 1), setting.inf_element(v))
+                for v in range(setting.ring.nvars)]
+
 
 @dataclass(frozen=True)
-class OreFamily:
-    p_coeffs: tuple  # p(t) = sum p_coeffs[k] t^k
+class OreFamily(Recipe):
+    """k[t] and X = p(t) d/dt, subject to Xt - tX = p(t)"""
+    p: tuple  # p(t) = sum p[k] t^k
+
+    def build(self):
+        pf = ParamField(())
+        ring = PolyRing(("t",), params=pf)
+        p = ring.zero
+        for k, c in enumerate(self.p):
+            p = p + ring.monomial((k,), pf.from_fraction(c))
+        if p.is_zero():
+            raise ValueError("the Ore polynomial p must be nonzero")
+        D = InfGenerator("d", ring, {0: ring.one})
+        return Setting(ring, name="ore", inf_gens=[D], meta={"p": p})
+
+    def operators(self, setting):
+        return [("X", ore_generator(setting))]
+
+    def identities(self, setting):
+        X = ore_generator(setting)
+        t = setting.from_ratfunc(setting.ring.var(0))
+        p = setting.from_ratfunc(setting.meta["p"])
+        return [_report("ore-relation", (X * t - t * X) == p, "Xt - tX = p(t)")]
 
 
 @dataclass(frozen=True)
-class ShiftFlag:
+class ShiftFlag(Recipe):
+    """k[x_1..x_n] with integer shifts x -> x + mu and a permutation group"""
     n: int
     group: str = "trivial"
 
+    def build(self):
+        n = self.n
+        nf, (elements, names, mult, inv) = _linear_group(self.group, n)
+        ring = PolyRing(_names("x", n), params=ParamField((), nf))
+        subs = _linear_subs(ring, elements, inv)
+        # shifts translate every variable; conjugation permutes coordinates
+        xs = [RatFunc.of(ring.var(v)) for v in range(n)]
+        perms = []
+        for winv in inv:
+            images = [subs[winv].get(v, x) for v, x in enumerate(xs)]
+            if not all(img in xs for img in images):
+                raise ValueError("group does not normalize the shift monoid")
+            perms.append(tuple(xs.index(img) for img in images))
+        return Setting(ring, name="shift-flag",
+                       group_mult=mult, group_inv=inv, group_subs=subs,
+                       group_names=names, monoid_vars=tuple(range(n)),
+                       monoid_signed=True, monoid_perm=perms)
+
+    def operators(self, setting):
+        rank = setting.monoid_rank
+        gens = []
+        for j in range(rank):
+            for sign, suffix in ((1, ""), (-1, "^-1")):
+                mu = tuple(sign if k == j else 0 for k in range(rank))
+                gens.append(("tau%d%s" % (j + 1, suffix), setting.group_element(0, mu)))
+        return gens
+
+
+# Cartan matrices of the two hard-coded types; row i is the simple root
+# alpha_i in the basis of fundamental (co)weights.
+_CARTAN = {"A1": ((2,),), "A2": ((2, -1), (-1, 2))}
+
 
 @dataclass(frozen=True)
-class GKVHecke:
+class GKVHecke(Recipe):
+    """Demazure-Lusztig operators sigma_i = q(u s_i - 1)/(u - 1) - q^-1(s_i - 1)/(u - 1)"""
     cartan: str = "A1"          # "A1" or "A2"
     variant: str = "multiplicative"   # or "additive"
 
+    def build(self):
+        if self.cartan not in _CARTAN:
+            raise ValueError("unsupported Cartan type %r" % self.cartan)
+        if self.variant not in ("multiplicative", "additive"):
+            raise ValueError("variant must be multiplicative or additive")
+        A = _CARTAN[self.cartan]
+        n = len(A)
+        pf = ParamField(("q",))
+        gnames = ["s%d" % (i + 1) for i in range(n)]
+        if self.variant == "multiplicative":
+            ring = PolyRing(_names("z", n), laurent=(True,) * n, params=pf)
+            # s_i on the weight lattice: omega_j -> omega_j - delta_ij alpha_i
+            gens = [tuple(tuple(int(r == c) - (A[i][r] if c == i else 0)
+                                for c in range(n)) for r in range(n))
+                    for i in range(n)]
+            elements, names, mult, inv = _enumerate(_int_identity(n), gens, gnames,
+                                                    _int_mat_mul)
+            subs, _ = _monomial_subs_and_conj(ring, elements, inv)
+            u_polys = [ring.monomial(A[i]) for i in range(n)]
+            suffix = "mult"
+        else:
+            nf = NumberField.rationals()
+            # s_i on the coweight basis: e_c -> e_c - A[c][i] e_i
+            gens = [tuple(tuple(nf.from_int(int(r == c) - (A[c][i] if r == i else 0))
+                                for c in range(n)) for r in range(n))
+                    for i in range(n)]
+            elements, names, mult, inv = _enumerate(
+                _nf_identity(nf, n), gens, gnames, lambda a, b: _nf_mat_mul(nf, a, b))
+            ring = PolyRing(_names("x", n), params=pf)
+            subs = _linear_subs(ring, elements, inv)
+            u_polys = [ring.linear(A[i], constant=1) for i in range(n)]
+            suffix = "add"
+        return Setting(ring, name="gkv-hecke-%s-%s" % (self.cartan, suffix),
+                       group_mult=mult, group_inv=inv, group_subs=subs,
+                       group_names=names,
+                       meta={"q": pf.param("q"), "hecke_u": u_polys,
+                             "simple_reflections": [elements.index(g) for g in gens],
+                             "rank": n})
+
+    def operators(self, setting):
+        return [("sigma%d" % (i + 1), demazure_lusztig(setting, i))
+                for i in range(setting.meta["rank"])]
+
+    def identities(self, setting):
+        q = setting.meta["q"]
+        qe = setting.from_const(q)
+        sigmas = [demazure_lusztig(setting, i) for i in range(setting.meta["rank"])]
+        if self.variant == "multiplicative":
+            other = setting.from_const(q ** -1)
+            law = "(sigma - q)(sigma + q^-1) = 0"
+        else:
+            other = qe
+            law = "(sigma - q)(sigma + q) = 0 (degenerate variant)"
+        reports = [_report("hecke-quadratic",
+                           all(((s - qe) * (s + other)).is_zero() for s in sigmas), law)]
+        if len(sigmas) == 2:
+            s1, s2 = sigmas
+            reports.append(_report("braid-relation", (s1 * s2 * s1) == (s2 * s1 * s2),
+                                   "sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2"))
+        return reports
+
 
 @dataclass(frozen=True)
-class Cherednik:
+class Cherednik(Recipe):
+    """Dunkl operators D_y = t d/dy + sum_s 2c_s/(1-lambda_s) (alpha_s,y)/alpha_s (s - 1)"""
     n: int
     group: str = "S2"
 
+    def build(self):
+        n = self.n
+        nf, group = _linear_group(self.group, n)
+        elements, names, mult, inv = group
 
-RECIPE_INFO = {
-    "quantum-borel": (QuantumBorel,
-                      "k[t] with skew-primitive E: Et = 1 + q^-1 tE (quantum Weyl algebra)"),
-    "rational-differential": (RationalDifferential,
-                              "C[V] with partial derivatives and a finite linear group"),
-    "trigonometric-differential": (TrigonometricDifferential,
-                                   "Laurent polynomials with Euler operators z d/dz and monomial group"),
-    "ore": (OreFamily,
-            "k[t] and X = p(t) d/dt, subject to Xt - tX = p(t)"),
-    "shift-flag": (ShiftFlag,
-                   "k[x_1..x_n] with integer shifts x -> x + mu and a permutation group"),
-    "gkv-hecke": (GKVHecke,
-                  "Demazure-Lusztig operators sigma_i = q(u s_i - 1)/(u - 1) - q^-1(s_i - 1)/(u - 1)"),
-    "cherednik": (Cherednik,
-                  "Dunkl operators D_y = t d/dy + sum_s 2c_s/(1-lambda_s) (alpha_s,y)/alpha_s (s - 1)"),
+        # reflections: rank(s - 1) = 1
+        scalars = ParamField((), nf)
+        refl = [i for i in range(1, len(elements))
+                if linalg.rank([[scalars.from_nf(nf.sub(x, nf.one if r == c else nf.zero))
+                                 for c, x in enumerate(row)]
+                                for r, row in enumerate(elements[i])]) == 1]
+        # conjugacy classes among reflections
+        classes = []
+        assigned = {}
+        for s in refl:
+            if s in assigned:
+                continue
+            orbit = sorted({mult[mult[g][s]][inv[g]] for g in range(len(elements))})
+            cls = len(classes)
+            classes.append(orbit)
+            for x in orbit:
+                if x not in refl:
+                    raise ValueError("reflection class escapes the reflection set")
+                assigned[x] = cls
+
+        params = ("t",) + (("c",) if len(classes) == 1 else
+                           tuple("c%d" % (k + 1) for k in range(len(classes))))
+        pf = ParamField(params, nf)
+        ring = PolyRing(_names("x", n), params=pf)
+
+        # per-reflection data: alpha_s, lambda_s, and the class index
+        refl_data = []
+        for s in refl:
+            minv = elements[inv[s]]
+            c_mat = [[minv[c][r] for c in range(n)] for r in range(n)]  # transpose of inverse
+            col = None
+            for j in range(n):
+                column = [nf.sub(c_mat[r][j], nf.one if r == j else nf.zero) for r in range(n)]
+                if any(nf.is_nonzero(x) for x in column):
+                    col = column
+                    break
+            lead = next(x for x in col if nf.is_nonzero(x))
+            leadinv = nf.inv(lead)
+            alpha_coeffs = [nf.mul(x, leadinv) for x in col]
+            lam = nf.sub(_nf_trace(nf, c_mat), nf.from_int(n - 1))
+            if lam == nf.one:
+                raise ValueError("detected reflection with eigenvalue 1")
+            refl_data.append({
+                "element": s,
+                "alpha_coeffs": alpha_coeffs,
+                "alpha": ring.linear([pf.from_nf(x) for x in alpha_coeffs]),
+                "lambda": lam,
+                "class": assigned[s],
+            })
+
+        return _differential_setting(ring, "cherednik-%s" % self.group, group,
+                                     meta={"reflections": refl_data,
+                                           "n_classes": len(classes)})
+
+    def operators(self, setting):
+        return [("D%d" % (v + 1), dunkl_operator(setting, v))
+                for v in range(setting.ring.nvars)]
+
+    def identities(self, setting):
+        ds = [dunkl_operator(setting, v) for v in range(setting.ring.nvars)]
+        ok = all((a * b - b * a).is_zero() for i, a in enumerate(ds) for b in ds[i + 1:])
+        return [_report("dunkl-commutativity", ok, "[D_y, D_y'] = 0")]
+
+
+RECIPES = {
+    "quantum-borel": QuantumBorel,
+    "rational-differential": RationalDifferential,
+    "trigonometric-differential": TrigonometricDifferential,
+    "ore": OreFamily,
+    "shift-flag": ShiftFlag,
+    "gkv-hecke": GKVHecke,
+    "cherednik": Cherednik,
 }
 
 
-# -- matrix utilities over a number field ------------------------------------
+def build_setting(recipe):
+    """The setting a recipe describes, with ``setting.recipe`` set to it."""
+    if not isinstance(recipe, Recipe):
+        raise TypeError("unknown recipe %r" % (recipe,))
+    setting = recipe.build()
+    setting.recipe = recipe
+    return setting
 
 
-def _nf_mat_mul(nf, a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            _nf_dot(nf, a[i], [b[k][j] for k in range(n)])
-            for j in range(n))
-        for i in range(n))
+def standard_generators(setting):
+    """A presentation of the natural order in each catalog setting:
+    the lattice variables, the group elements, then the distinguished
+    operators of its recipe.  Used by the verification drivers."""
+    ring = setting.ring
+    gens = [(ring.names[v], setting.from_ratfunc(ring.var(v)))
+            for v in range(ring.nvars)]
+    for w in range(1, setting.group_size):
+        gens.append((setting.group_names[w], setting.group_element(w)))
+    if setting.recipe is not None:
+        gens.extend(setting.recipe.operators(setting))
+    return gens
 
 
-def _nf_dot(nf, row, col):
-    total = nf.zero
-    for x, y in zip(row, col):
-        total = nf.add(total, nf.mul(x, y))
-    return total
+# -- distinguished operators -----------------------------------------------------
 
 
-def _nf_identity(nf, n):
-    return tuple(tuple(nf.one if i == j else nf.zero for j in range(n)) for i in range(n))
-
-
-def _nf_mat_inv(nf, a):
-    n = len(a)
-    work = [list(row) + [nf.one if i == j else nf.zero for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if nf.is_nonzero(work[i][c])), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = nf.inv(work[c][c])
-        work[c] = [nf.mul(x, inv) for x in work[c]]
-        for i in range(n):
-            if i != c and nf.is_nonzero(work[i][c]):
-                f = work[i][c]
-                work[i] = [nf.sub(x, nf.mul(f, y)) for x, y in zip(work[i], work[c])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def _nf_rank(nf, rows):
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if nf.is_nonzero(work[i][c])), None)
-        if piv is None:
+def dunkl_operator(setting, direction):
+    """D_y for the basis direction y = e_direction of a Cherednik setting."""
+    if not isinstance(setting.recipe, Cherednik):
+        raise ValueError("not a Cherednik setting")
+    ring = setting.ring
+    meta = setting.meta
+    pf = ring.params
+    nf = pf.nf
+    t = pf.param("t")
+    nclasses = meta["n_classes"]
+    cs = [pf.param("c")] if nclasses == 1 else \
+        [pf.param("c%d" % (k + 1)) for k in range(nclasses)]
+    out = setting.inf_element(direction).scale(RatFunc.of(ring.const(t)))
+    for data in meta["reflections"]:
+        pairing = data["alpha_coeffs"][direction]
+        if not nf.is_nonzero(pairing):
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = nf.inv(work[r][c])
-        work[r] = [nf.mul(x, inv) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and nf.is_nonzero(work[i][c]):
-                f = work[i][c]
-                work[i] = [nf.sub(x, nf.mul(f, y)) for x, y in zip(work[i], work[r])]
-        rank += 1
-        r += 1
-    return rank
+        lam = data["lambda"]
+        factor = pf.from_nf(nf.div(nf.add(pairing, pairing), nf.sub(nf.one, lam)))
+        coeff = RatFunc.of(ring.const(cs[data["class"]] * factor)) / RatFunc.of(data["alpha"])
+        s_el = setting.group_element(data["element"])
+        out = out + (s_el - setting.one()).scale(coeff)
+    return out
+
+
+def demazure_lusztig(setting, i):
+    """sigma_i in a GKV Hecke setting (either variant)."""
+    if not isinstance(setting.recipe, GKVHecke):
+        raise ValueError("not a GKV Hecke setting")
+    ring = setting.ring
+    q = setting.meta["q"]
+    u = RatFunc.of(setting.meta["hecke_u"][i])
+    s = setting.group_element(setting.meta["simple_reflections"][i])
+    qrf = RatFunc.of(ring.const(q))
+    qinv = RatFunc.of(ring.const(q ** -1))
+    one = RatFunc.of(ring.one)
+    denom = u - one
+    a = (qrf * u - qinv) / denom
+    b = (qinv - qrf) / denom
+    return s.scale(a) + setting.from_ratfunc(b)
+
+
+def ore_generator(setting):
+    """X = p(t) d/dt in an Ore family setting."""
+    if not isinstance(setting.recipe, OreFamily):
+        raise ValueError("not an Ore setting")
+    return setting.inf_element(0).scale(RatFunc.of(setting.meta["p"]))
+
+
+def quantum_borel_E(setting):
+    if not isinstance(setting.recipe, QuantumBorel):
+        raise ValueError("not the quantum Borel setting")
+    return setting.inf_by_name("E")
+
+
+# -- groups ---------------------------------------------------------------------
+
+
+def _names(prefix, n):
+    return tuple("%s%d" % (prefix, i + 1) for i in range(n))
 
 
 def _enumerate(identity, gens, gen_names, mul):
@@ -179,9 +453,6 @@ def _enumerate(identity, gens, gen_names, mul):
     for i in range(size):
         inv[i] = next(j for j in range(size) if mult[i][j] == 0)
     return elements, names, mult, inv
-
-
-# -- named linear groups -------------------------------------------------------
 
 
 def named_group(name, n):
@@ -224,135 +495,38 @@ def named_group(name, n):
     raise ValueError("unknown group name %r" % name)
 
 
-def _linear_group_setting(n, group_name, params=(), nf=None, var_prefix="x",
-                          with_partials=True, setting_name="setting"):
-    """Shared builder: k[x_1..x_n] with a finite linear group acting."""
-    gnf, gens, gnames = named_group(group_name, n)
-    if nf is None:
-        nf = gnf
-    elif gnf.degree > 1 and gnf != nf:
-        raise ValueError("group needs the extension %r" % gnf)
-    identity = _nf_identity(nf, n)
-    elements, names, mult, inv = _enumerate(
-        identity, gens, gnames, lambda a, b: _nf_mat_mul(nf, a, b))
-    pf = ParamField(params, nf)
-    ring = PolyRing(tuple("%s%d" % (var_prefix, i + 1) for i in range(n)), params=pf)
-
-    subs = []
-    for i, _ in enumerate(elements):
-        minv = elements[inv[i]]
-        images = {}
-        for v in range(n):
-            images[v] = RatFunc.of(ring.linear([pf.from_nf(minv[v][j]) for j in range(n)]))
-        subs.append(images if i else {})
-
-    inf_gens = []
-    conj = {}
-    if with_partials:
-        for v in range(n):
-            inf_gens.append(InfGenerator("d%d" % (v + 1), ring, {v: ring.one}))
-        for i in range(1, len(elements)):
-            m = elements[i]
-            conj[i] = {g: [(pf.from_nf(m[j][g]), j) for j in range(n)
-                           if nf.is_nonzero(m[j][g])]
-                       for g in range(n)}
-
-    setting = Setting(ring, name=setting_name,
-                      group_mult=mult, group_inv=inv, group_subs=subs,
-                      group_names=names, inf_gens=inf_gens, conj_table=conj,
-                      meta={"matrices": elements, "nf": nf})
-    return setting
+def _linear_group(name, n):
+    """(number field, (elements, names, mult, inv)) of a named linear group."""
+    nf, gens, gnames = named_group(name, n)
+    return nf, _enumerate(_nf_identity(nf, n), gens, gnames,
+                          lambda a, b: _nf_mat_mul(nf, a, b))
 
 
-# -- the recipes ----------------------------------------------------------------
+def _linear_subs(ring, elements, inv):
+    """Per group element w, the substitution x_v -> (row v of w^-1) . x."""
+    pf = ring.params
+    return [{v: RatFunc.of(ring.linear([pf.from_nf(x) for x in row]))
+             for v, row in enumerate(elements[inv[i]])} if i else {}
+            for i in range(len(elements))]
 
 
-def build_setting(recipe):
-    if isinstance(recipe, QuantumBorel):
-        return _build_quantum_borel()
-    if isinstance(recipe, RationalDifferential):
-        return _linear_group_setting(recipe.n, recipe.group,
-                                     setting_name="rational-differential")
-    if isinstance(recipe, TrigonometricDifferential):
-        return _build_trigonometric(recipe)
-    if isinstance(recipe, OreFamily):
-        return _build_ore(recipe)
-    if isinstance(recipe, ShiftFlag):
-        return _build_shift_flag(recipe)
-    if isinstance(recipe, GKVHecke):
-        return _build_gkv(recipe)
-    if isinstance(recipe, Cherednik):
-        return _build_cherednik(recipe)
-    raise TypeError("unknown recipe %r" % (recipe,))
-
-
-def _build_quantum_borel():
-    pf = ParamField(("q",))
-    ring = PolyRing(("t",), params=pf)
-    q = pf.param("q")
-    E = InfGenerator("E", ring, {0: ring.one},
-                     twist={0: RatFunc.of(ring.var(0) * (q ** -1))},
-                     twist_inv={0: RatFunc.of(ring.var(0) * q)})
-    return Setting(ring, name="quantum-borel", inf_gens=[E],
-                   meta={"q": q})
-
-
-def _build_ore(recipe):
-    pf = ParamField(())
-    ring = PolyRing(("t",), params=pf)
-    p = ring.zero
-    for k, c in enumerate(recipe.p_coeffs):
-        p = p + ring.monomial((k,), pf.from_fraction(c))
-    if p.is_zero():
-        raise ValueError("the Ore polynomial p must be nonzero")
-    D = InfGenerator("d", ring, {0: ring.one})
-    return Setting(ring, name="ore", inf_gens=[D], meta={"p": p})
-
-
-def _build_shift_flag(recipe):
-    setting = _linear_group_setting(recipe.n, recipe.group, with_partials=False,
-                                    setting_name="shift-flag")
-    ring = setting.ring
-    n = recipe.n
-    # shifts translate every variable; conjugation permutes coordinates
-    perms = []
-    for i in range(setting.group_size):
-        winv = setting.gp(setting.group_inv[i])
-        perm = []
-        for v in range(n):
-            img = setting.gp_act(winv, RatFunc.of(ring.var(v)))
-            target = None
-            for u in range(n):
-                if img == RatFunc.of(ring.var(u)):
-                    target = u
-                    break
-            if target is None:
-                raise ValueError("group does not normalize the shift monoid")
-            perm.append(target)
-        perms.append(tuple(perm))
-    return Setting(ring, name="shift-flag",
-                   group_mult=setting.group_mult, group_inv=setting.group_inv,
-                   group_subs=setting.group_subs, group_names=setting.group_names,
-                   monoid_vars=tuple(range(n)), monoid_signed=True,
-                   monoid_perm=perms, meta=setting.meta)
-
-
-def _build_trigonometric(recipe):
-    nf = NumberField.rationals()
-    pf = ParamField((), nf)
-    ring = PolyRing(tuple("z%d" % (i + 1) for i in range(recipe.n)),
-                    laurent=(True,) * recipe.n, params=pf)
-    n = recipe.n
-    gens, gnames = _monomial_group_gens(recipe.group, n)
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    elements, names, mult, inv = _enumerate(identity, gens, gnames, _int_mat_mul)
-    subs, conj = _monomial_subs_and_conj(ring, elements, inv)
-    inf_gens = [InfGenerator("th%d" % (v + 1), ring, {v: ring.var(v)})
-                for v in range(n)]
-    return Setting(ring, name="trigonometric-differential",
-                   group_mult=mult, group_inv=inv, group_subs=subs,
+def _differential_setting(ring, name, group, meta=None):
+    """The ring with its partial derivatives and a linear group
+    ``(elements, names, mult, inv)`` acting on the variables."""
+    elements, names, mult, inv = group
+    pf = ring.params
+    n = ring.nvars
+    inf_gens = [InfGenerator("d%d" % (v + 1), ring, {v: ring.one}) for v in range(n)]
+    # w d_g w^-1 = sum_j m[j][g] d_j for the matrix m of w
+    conj = {i: {g: [(pf.from_nf(m[j][g]), j) for j in range(n)
+                    if pf.nf.is_nonzero(m[j][g])]
+                for g in range(n)}
+            for i, m in enumerate(elements) if i}
+    return Setting(ring, name=name,
+                   group_mult=mult, group_inv=inv,
+                   group_subs=_linear_subs(ring, elements, inv),
                    group_names=names, inf_gens=inf_gens, conj_table=conj,
-                   meta={"exponent_matrices": elements})
+                   meta=meta)
 
 
 def _monomial_group_gens(name, n):
@@ -374,34 +548,6 @@ def _monomial_group_gens(name, n):
             names.append("s%d" % (i + 1))
         return gens, names
     raise ValueError("unknown monomial group %r" % name)
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _int_mat_inv(a):
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if work[i][c])
-        work[c], work[piv] = work[piv], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    out = []
-    for row in work:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise ValueError("exponent matrix is not invertible over the integers")
-        out.append(tuple(int(v) for v in vals))
-    return tuple(out)
 
 
 def _monomial_subs_and_conj(ring, elements, inv):
@@ -426,164 +572,50 @@ def _monomial_subs_and_conj(ring, elements, inv):
     return subs, conj
 
 
-# Cartan data for the two hard-coded types: simple roots in the basis of
-# fundamental (co)weights, and the reflection matrices they induce.
-_CARTAN = {
-    "A1": {"rank": 1, "cartan": ((2,),)},
-    "A2": {"rank": 2, "cartan": ((2, -1), (-1, 2))},
-}
+# -- matrices -------------------------------------------------------------------
 
 
-def _build_gkv(recipe):
-    if recipe.cartan not in _CARTAN:
-        raise ValueError("unsupported Cartan type %r" % recipe.cartan)
-    if recipe.variant not in ("multiplicative", "additive"):
-        raise ValueError("variant must be multiplicative or additive")
-    data = _CARTAN[recipe.cartan]
-    n = data["rank"]
-    A = data["cartan"]
-    pf = ParamField(("q",))
-    if recipe.variant == "multiplicative":
-        ring = PolyRing(tuple("z%d" % (i + 1) for i in range(n)),
-                        laurent=(True,) * n, params=pf)
-        # s_i on the weight lattice: omega_j -> omega_j - delta_ij alpha_i
-        gens = []
-        for i in range(n):
-            cols = []
-            for j in range(n):
-                col = [1 if r == j else 0 for r in range(n)]
-                if j == i:
-                    col = [col[r] - A[i][r] for r in range(n)]
-                cols.append(col)
-            gens.append(tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
-        gnames = ["s%d" % (i + 1) for i in range(n)]
-        identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        elements, names, mult, inv = _enumerate(identity, gens, gnames, _int_mat_mul)
-        subs, _ = _monomial_subs_and_conj(ring, elements, inv)
-        u_polys = [ring.monomial(tuple(A[i][j] for j in range(n))) for i in range(n)]
-        gen_idx = [elements.index(g) for g in gens]
-        setting = Setting(ring, name="gkv-hecke-%s-mult" % recipe.cartan,
-                          group_mult=mult, group_inv=inv, group_subs=subs,
-                          group_names=names,
-                          meta={"variant": "multiplicative"})
-    else:
-        nf = NumberField.rationals()
-        gens = []
-        for i in range(n):
-            # s_i on the coweight basis: e_j -> e_j - <e_j, alpha_i> e_i... via Cartan
-            mat = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
-            for c in range(n):
-                mat[i][c] -= A[c][i]
-            m = tuple(tuple(nf.from_fraction(x) for x in row) for row in mat)
-            gens.append(m)
-        gnames = ["s%d" % (i + 1) for i in range(n)]
-        identity = _nf_identity(nf, n)
-        elements, names, mult, inv = _enumerate(
-            identity, gens, gnames, lambda a, b: _nf_mat_mul(nf, a, b))
-        ring = PolyRing(tuple("x%d" % (i + 1) for i in range(n)), params=pf)
-        subs = []
-        for i, _ in enumerate(elements):
-            minv = elements[inv[i]]
-            images = {v: RatFunc.of(ring.linear([pf.from_nf(minv[v][j]) for j in range(n)]))
-                      for v in range(n)}
-            subs.append(images if i else {})
-        u_polys = [ring.linear([Fraction(A[i][j]) for j in range(n)], constant=1)
-                   for i in range(n)]
-        gen_idx = [elements.index(g) for g in gens]
-        setting = Setting(ring, name="gkv-hecke-%s-add" % recipe.cartan,
-                          group_mult=mult, group_inv=inv, group_subs=subs,
-                          group_names=names,
-                          meta={"variant": "additive"})
-    setting.meta.update({
-        "q": pf.param("q"),
-        "hecke_u": u_polys,
-        "simple_reflections": gen_idx,
-        "rank": n,
-    })
-    return setting
+def _int_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _build_cherednik(recipe):
-    gnf, gens, gnames = named_group(recipe.group, recipe.n)
-    nf = gnf
-    n = recipe.n
-    identity = _nf_identity(nf, n)
-    elements, names, mult, inv = _enumerate(
-        identity, gens, gnames, lambda a, b: _nf_mat_mul(nf, a, b))
+def _int_mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
-    # reflections: rank(s - 1) = 1
-    refl = []
-    for i in range(1, len(elements)):
-        m = elements[i]
-        delta = [[nf.sub(m[r][c], nf.one if r == c else nf.zero) for c in range(n)]
-                 for r in range(n)]
-        if _nf_rank(nf, delta) == 1:
-            refl.append(i)
-    # conjugacy classes among reflections
-    classes = []
-    assigned = {}
-    for s in refl:
-        if s in assigned:
-            continue
-        orbit = sorted({mult[mult[g][s]][inv[g]] for g in range(len(elements))})
-        cls = len(classes)
-        classes.append(orbit)
-        for x in orbit:
-            if x not in refl:
-                raise ValueError("reflection class escapes the reflection set")
-            assigned[x] = cls
 
-    params = ("t",) + (("c",) if len(classes) == 1 else
-                       tuple("c%d" % (k + 1) for k in range(len(classes))))
-    pf = ParamField(params, nf)
-    ring = PolyRing(tuple("x%d" % (i + 1) for i in range(n)), params=pf)
+def _int_mat_inv(a):
+    """The inverse of an integer matrix, which must have integer entries."""
+    n = len(a)
+    pf = ParamField(())
+    rows, pivots = linalg.row_reduce(
+        [[pf.from_int(x) for x in row] + [pf.from_int(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)])
+    inverse = [[x.constant_value()[0] for x in row[n:]] for row in rows]
+    if pivots != list(range(n)) or any(v.denominator != 1 for row in inverse for v in row):
+        raise ValueError("exponent matrix is not invertible over the integers")
+    return tuple(tuple(int(v) for v in row) for row in inverse)
 
-    subs = []
-    for i, _ in enumerate(elements):
-        minv = elements[inv[i]]
-        images = {v: RatFunc.of(ring.linear([pf.from_nf(minv[v][j]) for j in range(n)]))
-                  for v in range(n)}
-        subs.append(images if i else {})
-    inf_gens = [InfGenerator("d%d" % (v + 1), ring, {v: ring.one}) for v in range(n)]
-    conj = {}
-    for i in range(1, len(elements)):
-        m = elements[i]
-        conj[i] = {g: [(pf.from_nf(m[j][g]), j) for j in range(n) if nf.is_nonzero(m[j][g])]
-                   for g in range(n)}
 
-    # per-reflection data: alpha_s, lambda_s, and the class index
-    refl_data = []
-    for s in refl:
-        m = elements[s]
-        minv = elements[inv[s]]
-        c_mat = [[minv[c][r] for c in range(n)] for r in range(n)]  # transpose of inverse
-        col = None
-        for j in range(n):
-            column = [nf.sub(c_mat[r][j], nf.one if r == j else nf.zero) for r in range(n)]
-            if any(nf.is_nonzero(x) for x in column):
-                col = column
-                break
-        lead = next(x for x in col if nf.is_nonzero(x))
-        leadinv = nf.inv(lead)
-        alpha_coeffs = [nf.mul(x, leadinv) for x in col]
-        lam = nf.sub(_nf_trace(nf, c_mat), nf.from_int(n - 1))
-        if lam == nf.one:
-            raise ValueError("detected reflection with eigenvalue 1")
-        refl_data.append({
-            "element": s,
-            "alpha_coeffs": alpha_coeffs,
-            "alpha": ring.linear([pf.from_nf(x) for x in alpha_coeffs]),
-            "lambda": lam,
-            "class": assigned[s],
-        })
+def _nf_mat_mul(nf, a, b):
+    n = len(a)
+    return tuple(
+        tuple(
+            _nf_dot(nf, a[i], [b[k][j] for k in range(n)])
+            for j in range(n))
+        for i in range(n))
 
-    setting = Setting(ring, name="cherednik-%s" % recipe.group,
-                      group_mult=mult, group_inv=inv, group_subs=subs,
-                      group_names=names, inf_gens=inf_gens, conj_table=conj,
-                      meta={"matrices": elements, "nf": nf,
-                            "reflections": refl_data,
-                            "n_classes": len(classes)})
-    return setting
+
+def _nf_dot(nf, row, col):
+    total = nf.zero
+    for x, y in zip(row, col):
+        total = nf.add(total, nf.mul(x, y))
+    return total
+
+
+def _nf_identity(nf, n):
+    return tuple(tuple(nf.one if i == j else nf.zero for j in range(n)) for i in range(n))
 
 
 def _nf_trace(nf, mat):
@@ -591,95 +623,3 @@ def _nf_trace(nf, mat):
     for i, row in enumerate(mat):
         total = nf.add(total, row[i])
     return total
-
-
-# -- distinguished operators -----------------------------------------------------
-
-
-def dunkl_operator(setting, direction):
-    """D_y for the basis direction y = e_direction of a Cherednik setting."""
-    if "reflections" not in setting.meta:
-        raise ValueError("not a Cherednik setting")
-    ring = setting.ring
-    pf = ring.params
-    nf = pf.nf
-    t = pf.param("t")
-    nclasses = setting.meta["n_classes"]
-    cs = [pf.param("c")] if nclasses == 1 else \
-        [pf.param("c%d" % (k + 1)) for k in range(nclasses)]
-    out = setting.inf_element(direction).scale(RatFunc.of(ring.const(t)))
-    for data in setting.meta["reflections"]:
-        pairing = data["alpha_coeffs"][direction]
-        if not nf.is_nonzero(pairing):
-            continue
-        lam = data["lambda"]
-        factor = pf.from_nf(nf.div(nf.add(pairing, pairing), nf.sub(nf.one, lam)))
-        coeff = RatFunc.of(ring.const(cs[data["class"]] * factor)) / RatFunc.of(data["alpha"])
-        s_el = setting.group_element(data["element"])
-        out = out + (s_el - setting.one()).scale(coeff)
-    return out
-
-
-def demazure_lusztig(setting, i):
-    """sigma_i in a GKV Hecke setting (either variant)."""
-    if "hecke_u" not in setting.meta:
-        raise ValueError("not a GKV Hecke setting")
-    ring = setting.ring
-    q = setting.meta["q"]
-    u = RatFunc.of(setting.meta["hecke_u"][i])
-    s = setting.group_element(setting.meta["simple_reflections"][i])
-    qrf = RatFunc.of(ring.const(q))
-    qinv = RatFunc.of(ring.const(q ** -1))
-    one = RatFunc.of(ring.one)
-    denom = u - one
-    a = (qrf * u - qinv) / denom
-    b = (qinv - qrf) / denom
-    return s.scale(a) + setting.from_ratfunc(b)
-
-
-def ore_generator(setting):
-    """X = p(t) d/dt in an Ore family setting."""
-    if "p" not in setting.meta:
-        raise ValueError("not an Ore setting")
-    return setting.inf_element(0).scale(RatFunc.of(setting.meta["p"]))
-
-
-def quantum_borel_E(setting):
-    if setting.name != "quantum-borel":
-        raise ValueError("not the quantum Borel setting")
-    return setting.inf_by_name("E")
-
-
-def standard_generators(setting):
-    """A presentation of the natural order in each catalog setting:
-    the lattice variables plus the distinguished operators and group
-    elements.  Used by the verification drivers."""
-    ring = setting.ring
-    gens = [("%s" % ring.names[v], setting.from_ratfunc(ring.var(v)))
-            for v in range(ring.nvars)]
-    for w in range(1, setting.group_size):
-        gens.append((setting.group_names[w], setting.group_element(w)))
-    name = setting.name
-    if name == "quantum-borel":
-        gens.append(("E", setting.inf_by_name("E")))
-    elif name == "ore":
-        gens.append(("X", ore_generator(setting)))
-    elif "reflections" in setting.meta:
-        for v in range(ring.nvars):
-            gens.append(("D%d" % (v + 1), dunkl_operator(setting, v)))
-    elif "hecke_u" in setting.meta:
-        for i in range(setting.meta["rank"]):
-            gens.append(("sigma%d" % (i + 1), demazure_lusztig(setting, i)))
-    elif name == "rational-differential":
-        for v in range(ring.nvars):
-            gens.append(("d%d" % (v + 1), setting.inf_element(v)))
-    elif name == "trigonometric-differential":
-        for v in range(ring.nvars):
-            gens.append(("th%d" % (v + 1), setting.inf_element(v)))
-    elif name == "shift-flag":
-        for j in range(setting.monoid_rank):
-            mu = tuple(1 if k == j else 0 for k in range(setting.monoid_rank))
-            gens.append(("tau%d" % (j + 1), setting.group_element(0, mu)))
-            mu = tuple(-1 if k == j else 0 for k in range(setting.monoid_rank))
-            gens.append(("tau%d^-1" % (j + 1), setting.group_element(0, mu)))
-    return gens

@@ -29,6 +29,7 @@ verified, 1 counterexample (or truncation leakage without
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -37,7 +38,7 @@ from fractions import Fraction
 from . import catalog as cat
 from . import spherical as sph
 from .hcmod import cyclic_module, scalar_module_check, simple_quotient
-from .polyring import Poly, RatFunc
+from .polyring import RatFunc
 from .stabilizer import (PointIdeal, GrouplikeSpan, find_reductor,
                          finiteness_predicate, full_group_span, stab_group,
                          verify_reductor)
@@ -76,29 +77,38 @@ def _fraction(value, path):
         raise UsageError("%s must be an integer or a fraction, not %r" % (path, value))
 
 
+def _str(value, path):
+    if not isinstance(value, str):
+        raise UsageError("%s must be a string, not %r" % (path, value))
+    return value
+
+
+def _fractions(value, path):
+    if not isinstance(value, (list, tuple)):
+        raise UsageError("%s must be a list, not %r" % (path, value))
+    return tuple(_fraction(c, "%s[%d]" % (path, i)) for i, c in enumerate(value))
+
+
+# recipe field annotation -> parser of its config value
+_FIELD_PARSERS = {"int": _int, "str": _str, "tuple": _fractions}
+
+
 def parse_recipe(doc):
+    """The catalog recipe a config's ``recipe`` object names: ``kind``
+    picks the class, and each dataclass field is read from the key of the
+    same name, which may be left out where the field has a default."""
+    if not isinstance(doc, dict):
+        raise UsageError("recipe must be an object, not %r" % (doc,))
     kind = _need(doc, "kind", "recipe")
-
-    def rank():
-        return _int(_need(doc, "n", "recipe"), "recipe.n")
-
-    if kind == "quantum-borel":
-        return cat.QuantumBorel()
-    if kind == "rational-differential":
-        return cat.RationalDifferential(rank(), doc.get("group", "trivial"))
-    if kind == "trigonometric-differential":
-        return cat.TrigonometricDifferential(rank(), doc.get("group", "trivial"))
-    if kind == "ore":
-        coeffs = _need(doc, "p", "recipe")
-        return cat.OreFamily(tuple(_fraction(c, "recipe.p") for c in coeffs))
-    if kind == "shift-flag":
-        return cat.ShiftFlag(rank(), doc.get("group", "trivial"))
-    if kind == "gkv-hecke":
-        return cat.GKVHecke(doc.get("cartan", "A1"),
-                            doc.get("variant", "multiplicative"))
-    if kind == "cherednik":
-        return cat.Cherednik(rank(), doc.get("group", "S2"))
-    raise UsageError("unknown recipe.kind %r (see the catalog subcommand)" % kind)
+    cls = cat.RECIPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise UsageError("unknown recipe.kind %r (see the catalog subcommand)" % (kind,))
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name in doc or f.default is dataclasses.MISSING:
+            values[f.name] = _FIELD_PARSERS[f.type](_need(doc, f.name, "recipe"),
+                                                    "recipe." + f.name)
+    return cls(**values)
 
 
 def parse_point(setting, coords):
@@ -168,11 +178,25 @@ def parse_extra_generator(setting, doc, idx):
 def load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise UsageError("config file not found: %s" % path)
     except json.JSONDecodeError as exc:
         raise UsageError("config is not valid JSON: %s" % exc)
+    if not isinstance(config, dict):
+        raise UsageError("config must be a JSON object")
+    return config
+
+
+def _get(config, key, default, kind, noun):
+    """``config[key]``, which must be ``kind`` (a missing or null value
+    reads as ``default``)."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise UsageError("%s must be %s, not %r" % (key, noun, value))
+    return value
 
 
 def build_from_config(config, args):
@@ -184,16 +208,16 @@ def build_from_config(config, args):
         raise UsageError("recipe: %s" % exc)
     setting.validate()
     gens = cat.standard_generators(setting)
-    if "generators" in config:
-        wanted = list(config["generators"])
+    wanted = _get(config, "generators", None, list, "a list of generator names")
+    if wanted is not None:
         have = {n for n, _ in gens}
         for n in wanted:
-            if n not in have:
-                raise UsageError("generators: unknown generator name %r" % n)
+            if not isinstance(n, str) or n not in have:
+                raise UsageError("generators: unknown generator name %r" % (n,))
         gens = [(n, g) for n, g in gens if n in wanted]
-    for i, doc in enumerate(config.get("extra_generators", [])):
+    for i, doc in enumerate(_get(config, "extra_generators", [], list, "a list")):
         gens.append(parse_extra_generator(setting, doc, i))
-    bounds = dict(config.get("bounds", {}))
+    bounds = dict(_get(config, "bounds", {}, dict, "an object"))
     for key, attr in (("degree", "degree"), ("jet_order", "jet_order"),
                       ("word_length", "word_length"),
                       ("orbit_window", "orbit_window")):
@@ -216,64 +240,7 @@ def build_from_config(config, args):
 
 def identity_suite(setting, bounds):
     """Exact structural identities specific to each catalog setting."""
-    reports = []
-    name = setting.name
-    if name == "quantum-borel":
-        E = setting.inf_by_name("E")
-        t = setting.from_ratfunc(setting.ring.var(0))
-        q = setting.meta["q"]
-        ok = True
-        for n in range(1, 5):
-            En = E ** n
-            lhs = En * t - (t * En).scale(RatFunc.of(setting.ring.const(q ** -n)))
-            coeff = setting.ring.params.zero
-            for j in range(n):
-                coeff = coeff + q ** (-j)
-            rhs = (E ** (n - 1)).scale(RatFunc.of(setting.ring.const(coeff)))
-            ok = ok and lhs == rhs
-        reports.append(VerificationReport(
-            "quantum-weyl-relation", VERIFIED if ok else COUNTEREXAMPLE,
-            witness={"powers": "n <= 4"},
-            provenance="E^n t - q^-n t E^n = (1 + q^-1 + ... + q^-(n-1)) E^(n-1)"))
-    elif name == "ore":
-        X = cat.ore_generator(setting)
-        t = setting.from_ratfunc(setting.ring.var(0))
-        p = setting.from_ratfunc(setting.meta["p"])
-        ok = (X * t - t * X) == p
-        reports.append(VerificationReport(
-            "ore-relation", VERIFIED if ok else COUNTEREXAMPLE,
-            provenance="Xt - tX = p(t)"))
-    elif "hecke_u" in setting.meta:
-        q = setting.meta["q"]
-        qe = setting.from_const(q)
-        sigmas = [cat.demazure_lusztig(setting, i)
-                  for i in range(setting.meta["rank"])]
-        if setting.meta["variant"] == "multiplicative":
-            other = setting.from_const(q ** -1)
-            law = "(sigma - q)(sigma + q^-1) = 0"
-        else:
-            other = qe
-            law = "(sigma - q)(sigma + q) = 0 (degenerate variant)"
-        ok = all(((s - qe) * (s + other)).is_zero() for s in sigmas)
-        reports.append(VerificationReport(
-            "hecke-quadratic", VERIFIED if ok else COUNTEREXAMPLE,
-            provenance=law))
-        if len(sigmas) == 2:
-            ok = (sigmas[0] * sigmas[1] * sigmas[0]) == \
-                (sigmas[1] * sigmas[0] * sigmas[1])
-            reports.append(VerificationReport(
-                "braid-relation", VERIFIED if ok else COUNTEREXAMPLE,
-                provenance="sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2"))
-    elif "reflections" in setting.meta:
-        ds = [cat.dunkl_operator(setting, v) for v in range(setting.ring.nvars)]
-        ok = True
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                ok = ok and (ds[i] * ds[j] - ds[j] * ds[i]).is_zero()
-        reports.append(VerificationReport(
-            "dunkl-commutativity", VERIFIED if ok else COUNTEREXAMPLE,
-            provenance="[D_y, D_y'] = 0"))
-    return reports
+    return setting.recipe.identities(setting)
 
 
 def representation_consistency(setting, presentation, samples=25, seed=0):
@@ -305,9 +272,8 @@ def representation_consistency(setting, presentation, samples=25, seed=0):
 
 def cmd_catalog(args):
     lines = ["available recipes:"]
-    for name in sorted(cat.RECIPE_INFO):
-        _, desc = cat.RECIPE_INFO[name]
-        lines.append("  %-28s %s" % (name, desc))
+    for name, recipe in sorted(cat.RECIPES.items()):
+        lines.append("  %-28s %s" % (name, recipe.__doc__))
     print("\n".join(lines))
     return 0
 
@@ -331,20 +297,24 @@ def _exit_code(reports, strict, leaked=False, allow_truncation=False):
     return 0
 
 
+CHECKS = ("preserves-lattice", "identities", "split-maxcomm", "fo-certificate",
+          "generation", "representation")
+
+
 def cmd_verify(args):
     config = load_config(args.config)
+    wanted = _get(config, "checks", CHECKS, list, "a list of check names")
+    for name in wanted:
+        if name not in CHECKS:
+            raise UsageError("checks: unknown check name %r (known: %s)"
+                             % (name, ", ".join(CHECKS)))
     setting, presentation, bounds = build_from_config(config, args)
-    wanted = config.get("checks")
     reports = []
-
-    def enabled(name):
-        return wanted is None or name in wanted
-
-    if enabled("preserves-lattice"):
+    if "preserves-lattice" in wanted:
         reports.append(preserves_lattice(presentation, bounds["degree"]))
-    if enabled("identities"):
+    if "identities" in wanted:
         reports.extend(identity_suite(setting, bounds))
-    if enabled("split-maxcomm"):
+    if "split-maxcomm" in wanted:
         ok = True
         for name, g in presentation.generators:
             head, minus = split_decompose(g)
@@ -355,16 +325,16 @@ def cmd_verify(args):
         reports.append(VerificationReport(
             "lattice-splitting", VERIFIED if ok else COUNTEREXAMPLE,
             provenance="X = X(1) + X_- splits off the lattice summand"))
-    if enabled("fo-certificate"):
+    if "fo-certificate" in wanted:
         els = []
         for g in presentation.elements():
             if left_rank_oracle(els + [g]) == len(els) + 1:
                 els.append(g)
         reports.append(fo_certificate(els, bounds["degree"]))
-    if enabled("generation"):
+    if "generation" in wanted:
         reports.append(generation_witness(presentation,
                                           min(bounds["word_length"], 2)))
-    if enabled("representation"):
+    if "representation" in wanted:
         reports.append(representation_consistency(setting, presentation))
 
     doc = {
@@ -411,7 +381,7 @@ def cmd_module(args):
         },
         "simple-quotient-dimension": quotient.dim,
     }
-    if setting.name == "ore":
+    if isinstance(setting.recipe, cat.OreFamily):
         # informational: whether a one-dimensional family sits at this point
         p = setting.meta["p"]
         rep = scalar_module_check(p, point.coords[0],

@@ -126,17 +126,5 @@ def nullspace(matrix):
     return basis
 
 
-def mat_mul(a, b):
-    return [[sum_start(ai, b, j) for j in range(len(b[0]))] for ai in a]
-
-
-def sum_start(row, b, j):
-    total = None
-    for k, x in enumerate(row):
-        term = x * b[k][j]
-        total = term if total is None else total + term
-    return total
-
-
 def identity_like(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -155,6 +155,7 @@ class Setting:
                     "two skew generators with distinct twists are not supported")
         self.conj_table = conj_table or {}
         self.meta = meta or {}
+        self.recipe = None  # the catalog recipe, set by catalog.build_setting
         self._conj_mono_cache = {}
         self._zero_mu = (0,) * self.monoid_rank
         self._zero_alpha = (0,) * len(self.inf_gens)

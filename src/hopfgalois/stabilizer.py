@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import Poly, RatFunc
+from .polyring import RatFunc
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
 

@@ -1,13 +1,17 @@
 """Recipes and the distinguished operators they carry."""
 
+from fractions import Fraction
+
 import pytest
 
-from hopfgalois.catalog import (Cherednik, GKVHecke, OreFamily, QuantumBorel,
-                                RationalDifferential, ShiftFlag,
+from hopfgalois.catalog import (RECIPES, Cherednik, GKVHecke, OreFamily,
+                                QuantumBorel, RationalDifferential, ShiftFlag,
                                 TrigonometricDifferential, build_setting,
                                 demazure_lusztig, dunkl_operator, ore_generator,
-                                standard_generators)
+                                quantum_borel_E, standard_generators)
+from hopfgalois.cli import parse_recipe
 from hopfgalois.polyring import RatFunc
+from hopfgalois.smash import Setting
 
 
 def test_quantum_borel_setting():
@@ -209,3 +213,70 @@ def test_all_catalog_operators_preserve_lattice_degree8():
         for op in get_ops(S):
             for exps in S.ring.monomials_up_to(8, include_negative=True):
                 assert op.apply(RatFunc.of(S.ring.monomial(exps))).is_in_lattice()
+
+
+# -- the recipe registry ---------------------------------------------------------
+
+# the required config keys of each kind
+MINIMAL = {
+    "quantum-borel": {},
+    "rational-differential": {"n": 1},
+    "trigonometric-differential": {"n": 1},
+    "ore": {"p": ["1"]},
+    "shift-flag": {"n": 1},
+    "gkv-hecke": {},
+    "cherednik": {"n": 2},
+}
+
+
+def test_every_recipe_parses_from_a_minimal_config_and_builds():
+    assert set(MINIMAL) == set(RECIPES)
+    assert len(set(RECIPES.values())) == len(RECIPES)
+    for kind, cls in RECIPES.items():
+        recipe = parse_recipe(dict(MINIMAL[kind], kind=kind))
+        assert type(recipe) is cls
+        S = build_setting(recipe)
+        assert S.recipe == recipe
+        assert S.validate()
+
+
+def test_recipe_fields_are_the_config_keys():
+    assert parse_recipe({"kind": "gkv-hecke", "cartan": "A2",
+                         "variant": "additive"}) == GKVHecke("A2", "additive")
+    assert parse_recipe({"kind": "ore", "p": ["0", "1/2"]}) == \
+        OreFamily(p=(0, Fraction(1, 2)))
+    assert parse_recipe({"kind": "shift-flag", "n": 2, "group": "S2"}) == \
+        ShiftFlag(2, "S2")
+
+
+def test_operator_guards_reject_other_settings():
+    owners = [(dunkl_operator, Cherednik(1, "Z2"), (0,)),
+              (demazure_lusztig, GKVHecke(), (0,)),
+              (ore_generator, OreFamily((1,)), ()),
+              (quantum_borel_E, QuantumBorel(), ())]
+    settings = [build_setting(recipe) for _, recipe, _ in owners]
+    built = settings[0]
+    settings.append(Setting(built.ring, group_mult=built.group_mult,
+                            group_inv=built.group_inv,
+                            group_subs=built.group_subs,
+                            group_names=built.group_names))
+    for k, (operator, _, args) in enumerate(owners):
+        assert not operator(settings[k], *args).is_zero()
+        for j, S in enumerate(settings):
+            if j != k:
+                with pytest.raises(ValueError):
+                    operator(S, *args)
+
+
+def test_standard_generators_of_a_hand_built_setting():
+    built = build_setting(RationalDifferential(2, "S2"))
+    S = Setting(built.ring, name="rational-differential",
+                group_mult=built.group_mult, group_inv=built.group_inv,
+                group_subs=built.group_subs, group_names=built.group_names,
+                inf_gens=built.inf_gens, conj_table=built.conj_table)
+    assert S.recipe is None
+    gens = standard_generators(S)
+    assert [n for n, _ in gens] == ["x1", "x2", "s1"]
+    assert gens[2][1] == S.group_element(1)
+    assert [n for n, _ in standard_generators(built)] == \
+        ["x1", "x2", "s1", "d1", "d2"]

@@ -99,6 +99,22 @@ def test_verify_malformed_config(tmp_path, capsys):
             {"terms": [term]}]}, needle))
     cases.append(("verify", {"recipe": ore, "extra_generators": [5]},
                   "extra_generators[0]"))
+    # config values of the wrong JSON type
+    for doc, needle in [
+            ({"recipe": ore, "generators": 5}, "generators"),
+            ({"recipe": ore, "extra_generators": 5}, "extra_generators"),
+            ({"recipe": ore, "bounds": [1]}, "bounds"),
+            ({"recipe": ore, "checks": 5}, "checks"),
+            ({"recipe": ore, "checks": "identities"}, "checks"),
+            ({"recipe": 5}, "recipe"),
+            ({"recipe": {"kind": "ore", "p": 1}}, "recipe.p"),
+            ({"recipe": {"kind": "cherednik", "n": 2, "group": 5}},
+             "recipe.group")]:
+        cases.append(("verify", doc, needle))
+    # a check name that is not known, which used to run no check at all
+    cases.append(("verify", {"recipe": ore, "checks": ["preserve-lattice"]},
+                  "'preserve-lattice' (known: preserves-lattice, identities, "
+                  "split-maxcomm, fo-certificate, generation, representation)"))
     for i, (command, doc, needle) in enumerate(cases):
         cfg = write_config(tmp_path, doc, "bad%d.json" % i)
         assert main([command, cfg]) == 2, doc
