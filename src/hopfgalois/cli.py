@@ -137,7 +137,7 @@ def _int_vector(value, length, path, nonnegative=None):
 def parse_extra_generator(setting, doc, idx):
     if not isinstance(doc, dict):
         raise UsageError("extra_generators[%d] must be an object" % idx)
-    name = doc.get("name", "extra%d" % idx)
+    name = _str(doc.get("name", "extra%d" % idx), "extra_generators[%d].name" % idx)
     terms = _need(doc, "terms", "extra_generators[%d]" % idx)
     if not isinstance(terms, list):
         raise UsageError("extra_generators[%d].terms must be a list" % idx)

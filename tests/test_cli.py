@@ -99,6 +99,8 @@ def test_verify_malformed_config(tmp_path, capsys):
             {"terms": [term]}]}, needle))
     cases.append(("verify", {"recipe": ore, "extra_generators": [5]},
                   "extra_generators[0]"))
+    cases.append(("module", {"recipe": ore, "point": ["0"], "extra_generators": [
+        {"name": 5, "terms": [{"inf": [1]}]}]}, "extra_generators[0].name"))
     # config values of the wrong JSON type
     for doc, needle in [
             ({"recipe": ore, "generators": 5}, "generators"),
@@ -111,7 +113,7 @@ def test_verify_malformed_config(tmp_path, capsys):
             ({"recipe": {"kind": "cherednik", "n": 2, "group": 5}},
              "recipe.group")]:
         cases.append(("verify", doc, needle))
-    # a check name that is not known, which used to run no check at all
+    # a check name that is not one of the checks, such as a typo
     cases.append(("verify", {"recipe": ore, "checks": ["preserve-lattice"]},
                   "'preserve-lattice' (known: preserves-lattice, identities, "
                   "split-maxcomm, fo-certificate, generation, representation)"))
