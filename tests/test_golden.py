@@ -32,6 +32,7 @@ CASES = {
     "gkv-hecke-a2-additive-verify": ("verify", [], 0),
     "rational-differential-s2-verify": ("verify", [], 0),
     "shift-flag-s2-verify": ("verify", [], 0),
+    "rational-differential-s2-spherical": ("spherical", [], 0),
 }
 
 
