@@ -16,7 +16,9 @@ Subcommands: ``catalog``, ``verify``, ``module``, ``stabilizer``,
       ]
     }
 
-``recipe.kind`` is one of the names printed by ``catalog``.  Bounds on the
+``recipe.kind`` is one of the names printed by ``catalog``, and the other
+``recipe`` keys are the fields of that recipe.  A key outside these, or
+outside the ones shown, is a usage error.  Bounds on the
 command line (``--degree``, ``--jet-order``, ``--word-length``,
 ``--orbit-window``) override the config.  Reports embed the bounds used
 and a one-line statement of the identity or axiom each check certifies;
@@ -57,6 +59,15 @@ def _need(mapping, key, path):
         raise UsageError("missing config field: %s.%s" % (path, key) if path
                          else "missing config field: %s" % key)
     return mapping[key]
+
+
+def _known_keys(doc, known, path):
+    """Reject a key of ``doc`` outside ``known``: a misspelt bound would
+    otherwise leave its default in force."""
+    for key in doc:
+        if key not in known:
+            raise UsageError("unknown config field: %s%s (known: %s)"
+                             % (path + "." if path else "", key, ", ".join(known)))
 
 
 def _int(value, path):
@@ -103,8 +114,10 @@ def parse_recipe(doc):
     cls = cat.RECIPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise UsageError("unknown recipe.kind %r (see the catalog subcommand)" % (kind,))
+    fields = dataclasses.fields(cls)
+    _known_keys(doc, ("kind",) + tuple(f.name for f in fields), "recipe")
     values = {}
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name in doc or f.default is dataclasses.MISSING:
             values[f.name] = _FIELD_PARSERS[f.type](_need(doc, f.name, "recipe"),
                                                     "recipe." + f.name)
@@ -199,7 +212,13 @@ def _get(config, key, default, kind, noun):
     return value
 
 
+CONFIG_KEYS = ("recipe", "generators", "extra_generators", "bounds", "checks",
+               "point")
+BOUNDS = ("degree", "jet_order", "word_length", "orbit_window")
+
+
 def build_from_config(config, args):
+    _known_keys(config, CONFIG_KEYS, "")
     recipe = parse_recipe(_need(config, "recipe", ""))
     try:
         setting = cat.build_setting(recipe)
@@ -218,10 +237,9 @@ def build_from_config(config, args):
     for i, doc in enumerate(_get(config, "extra_generators", [], list, "a list")):
         gens.append(parse_extra_generator(setting, doc, i))
     bounds = dict(_get(config, "bounds", {}, dict, "an object"))
-    for key, attr in (("degree", "degree"), ("jet_order", "jet_order"),
-                      ("word_length", "word_length"),
-                      ("orbit_window", "orbit_window")):
-        val = getattr(args, attr, None)
+    _known_keys(bounds, BOUNDS, "bounds")
+    for key in BOUNDS:
+        val = getattr(args, key, None)
         if val is not None:
             bounds[key] = val
     bounds.setdefault("degree", 4)

@@ -144,8 +144,9 @@ def morita_witness(presentation, word_length):
     words = _word_pool(presentation, word_length)
     products = []
     for aname, a in words:
+        ae = a * e
         for bname, b in words:
-            products.append((aname, bname, a * e * b))
+            products.append((aname, bname, ae * b))
     target = S.one()
     keys = sorted({k for _, _, p in products for k in p.terms} | set(target.terms),
                   key=lambda k: (k[0], k[1]))

@@ -113,6 +113,20 @@ def test_verify_malformed_config(tmp_path, capsys):
             ({"recipe": {"kind": "cherednik", "n": 2, "group": 5}},
              "recipe.group")]:
         cases.append(("verify", doc, needle))
+    # keys that are not read: a misspelt bound, a field the recipe does not
+    # have, a misspelt top-level key
+    for doc, needle in [
+            ({"recipe": ore, "bounds": {"degre": 2}}, "bounds.degre (known: "
+             "degree, jet_order, word_length, orbit_window)"),
+            ({"recipe": {"kind": "ore", "p": [1], "n": 2}}, "recipe.n (known: "
+             "kind, p)"),
+            ({"recipe": {"kind": "cherednik", "n": 2, "grup": "S2"}},
+             "recipe.grup"),
+            ({"recipe": ore, "check": ["identities"]}, "field: check (known: "
+             "recipe, generators, extra_generators, bounds, checks, point)")]:
+        cases.append(("verify", doc, needle))
+    cases.append(("spherical", {"recipe": ore, "bound": {"degree": 2}},
+                  "field: bound ("))
     # a check name that is not one of the checks, such as a typo
     cases.append(("verify", {"recipe": ore, "checks": ["preserve-lattice"]},
                   "'preserve-lattice' (known: preserves-lattice, identities, "
