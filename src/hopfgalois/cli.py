@@ -17,12 +17,12 @@ Subcommands: ``catalog``, ``verify``, ``module``, ``stabilizer``,
     }
 
 ``recipe.kind`` is one of the names printed by ``catalog``, and the other
-``recipe`` keys are the fields of that recipe.  A key outside these, or
-outside the ones shown, is a usage error.  Bounds on the
-command line (``--degree``, ``--jet-order``, ``--word-length``,
-``--orbit-window``) override the config.  Reports embed the bounds used
-and a one-line statement of the identity or axiom each check certifies;
-identical configs produce byte-identical reports.  Exit codes: 0 all
+``recipe`` keys are the fields of that recipe.  Any other key, at any
+level, is a usage error.  Bounds on the command line (``--degree``,
+``--jet-order``, ``--word-length``, ``--orbit-window``) override the
+config.  Reports embed the bounds used and a one-line statement of the
+identity or axiom each check certifies; identical configs produce
+byte-identical reports.  Exit codes: 0 all
 verified, 1 counterexample (or truncation leakage without
 ``--allow-truncation``), 2 usage error, 3 inconclusive-at-bound under
 ``--strict``.
@@ -150,6 +150,7 @@ def _int_vector(value, length, path, nonnegative=None):
 def parse_extra_generator(setting, doc, idx):
     if not isinstance(doc, dict):
         raise UsageError("extra_generators[%d] must be an object" % idx)
+    _known_keys(doc, ("name", "terms"), "extra_generators[%d]" % idx)
     name = _str(doc.get("name", "extra%d" % idx), "extra_generators[%d].name" % idx)
     terms = _need(doc, "terms", "extra_generators[%d]" % idx)
     if not isinstance(terms, list):
@@ -164,6 +165,7 @@ def parse_extra_generator(setting, doc, idx):
         path = "extra_generators[%d].terms[%d]" % (idx, k)
         if not isinstance(t, dict):
             raise UsageError("%s must be an object" % path)
+        _known_keys(t, ("scalar", "num_exps", "den_exps", "group", "mu", "inf"), path)
         scalar = ring.params.from_fraction(
             _fraction(t.get("scalar", "1"), path + ".scalar"))
         num = ring.monomial(_int_vector(t.get("num_exps", zeros), ring.nvars,

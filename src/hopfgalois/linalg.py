@@ -7,7 +7,7 @@ elimination does arithmetic only on nonzero entries: a pivot row is
 divided where it is nonzero, and a row is updated only in the columns
 where the pivot row is nonzero (``a - f*0`` is ``a`` itself).  The
 certificate matrices are mostly zeros (the Morita system of the spherical
-check is under 2 % nonzero), so this is where the time goes.
+check is under 2 % nonzero), so this skips most of the arithmetic.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def test_verify_malformed_config(tmp_path, capsys):
              "recipe.group")]:
         cases.append(("verify", doc, needle))
     # keys that are not read: a misspelt bound, a field the recipe does not
-    # have, a misspelt top-level key
+    # have, a misspelt top-level key or extra generator key
     for doc, needle in [
             ({"recipe": ore, "bounds": {"degre": 2}}, "bounds.degre (known: "
              "degree, jet_order, word_length, orbit_window)"),
@@ -127,6 +127,12 @@ def test_verify_malformed_config(tmp_path, capsys):
         cases.append(("verify", doc, needle))
     cases.append(("spherical", {"recipe": ore, "bound": {"degree": 2}},
                   "field: bound ("))
+    cases.append(("verify", {"recipe": ore, "extra_generators": [
+        {"nam": "Y", "terms": [{"inf": [1]}]}]}, "extra_generators[0].nam ("))
+    cases.append(("verify", {"recipe": ore, "extra_generators": [
+        {"terms": [{"num_exp": [5], "inf": [1]}]}]},
+        "extra_generators[0].terms[0].num_exp (known: scalar, num_exps, "
+        "den_exps, group, mu, inf)"))
     # a check name that is not one of the checks, such as a typo
     cases.append(("verify", {"recipe": ore, "checks": ["preserve-lattice"]},
                   "'preserve-lattice' (known: preserves-lattice, identities, "
