@@ -120,8 +120,6 @@ def test_verify_malformed_config(tmp_path, capsys):
              "degree, jet_order, word_length, orbit_window)"),
             ({"recipe": {"kind": "ore", "p": [1], "n": 2}}, "recipe.n (known: "
              "kind, p)"),
-            ({"recipe": {"kind": "cherednik", "n": 2, "grup": "S2"}},
-             "recipe.grup"),
             ({"recipe": ore, "check": ["identities"]}, "field: check (known: "
              "recipe, generators, extra_generators, bounds, checks, point)")]:
         cases.append(("verify", doc, needle))
