@@ -258,7 +258,7 @@ def build_from_config(config, args):
 # -- identity suites -------------------------------------------------------
 
 
-def identity_suite(setting, bounds):
+def identity_suite(setting):
     """Exact structural identities specific to each catalog setting."""
     return setting.recipe.identities(setting)
 
@@ -333,7 +333,7 @@ def cmd_verify(args):
     if "preserves-lattice" in wanted:
         reports.append(preserves_lattice(presentation, bounds["degree"]))
     if "identities" in wanted:
-        reports.extend(identity_suite(setting, bounds))
+        reports.extend(identity_suite(setting))
     if "split-maxcomm" in wanted:
         ok = True
         for name, g in presentation.generators:

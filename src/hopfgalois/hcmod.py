@@ -270,6 +270,14 @@ def _mat_vec(params, M, x):
             for i in range(d)]
 
 
+def _point_index(points, coords):
+    """Index of the support point with these coordinates, or None."""
+    for i, p in enumerate(points):
+        if all(a == b for a, b in zip(p.coords, coords)):
+            return i
+    return None
+
+
 def _reduce_vec(ech_rows, pivots, vec):
     """Subtract the echelon combination; returns (coords, residual)."""
     v = list(vec)
@@ -307,9 +315,9 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
     points = []
 
     def point_index(coords):
-        for i, p in enumerate(points):
-            if all(a == b for a, b in zip(p.coords, coords)):
-                return i
+        i = _point_index(points, coords)
+        if i is not None:
+            return i
         points.append(PointIdeal(ring, coords))
         if len(points) > orbit_window:
             raise ValueError("support point escapes the declared orbit window")
@@ -343,11 +351,7 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
             leak = leak or lk
             entry = {}
             for coords, tab in w.entries:
-                found = None
-                for pi, p in enumerate(points):
-                    if all(a == b for a, b in zip(p.coords, coords)):
-                        found = pi
-                        break
+                found = _point_index(points, coords)
                 if found is None:
                     leak = True
                     continue
@@ -378,16 +382,10 @@ def largest_invariant_avoiding(module, point):
     params = module.setting.ring.params
     ring = module.setting.ring
     d = module.dim
-    zero_idx = (0,) * ring.nvars
-    col = None
-    for k, key in enumerate(module.keys):
-        pi, a = key
-        if a == zero_idx and all(
-                x == y for x, y in zip(module.points[pi].coords, point.coords)):
-            col = k
-            break
-    if col is None:
+    key = (_point_index(module.points, point.coords), (0,) * ring.nvars)
+    if key not in module.keys:
         raise ValueError("the module has no support at the point")
+    col = module.keys.index(key)
     row = [module.basis[i][col] for i in range(d)]
     if all(c.is_zero() for c in row):
         raise ValueError("the evaluation functional is not in the module")
@@ -448,20 +446,16 @@ def simple_quotient(module, point):
     U, upiv = largest_invariant_avoiding(module, point)
     keep = [i for i in range(d) if i not in upiv]
 
-    def project(vec):
-        _, resid = _reduce_vec(U, upiv, vec)
-        return [resid[i] for i in keep]
+    def project(M):
+        # column j of the quotient matrix is column keep[j] of M, reduced
+        cols = []
+        for j in keep:
+            _, resid = _reduce_vec(U, upiv, [M[i][j] for i in range(d)])
+            cols.append([resid[i] for i in keep])
+        return [list(row) for row in zip(*cols)]
 
-    qmats = {}
-    for name, M in module.matrices.items():
-        cols = [project([M[i][j] for i in range(d)]) for j in keep]
-        qmats[name] = [[cols[jj][ii] for jj in range(len(keep))]
-                       for ii in range(len(keep))]
-    qvars = []
-    for M in module.var_matrices:
-        cols = [project([M[i][j] for i in range(d)]) for j in keep]
-        qvars.append([[cols[jj][ii] for jj in range(len(keep))]
-                      for ii in range(len(keep))])
+    qmats = {name: project(M) for name, M in module.matrices.items()}
+    qvars = [project(M) for M in module.var_matrices]
     # quotient classes are labeled by the pivot keys of the kept coordinates
     qkeys = [module.keys[module.pivot_cols[j]] for j in keep]
     return TruncatedModule(
@@ -574,11 +568,8 @@ def local_finiteness_check(module, presentation, r, point, monoid_window=3):
     ngen = len(S.inf_gens)
     if ngen:
         inf_slab = comb(r + ngen, ngen)
-    block = None
-    for pi, p in enumerate(module.points):
-        if all(a == b for a, b in zip(p.coords, point.coords)):
-            block = module.point_block_dims()[pi]
-            break
+    pi = _point_index(module.points, point.coords)
+    block = None if pi is None else module.point_block_dims()[pi]
     status = VERIFIED if generates else COUNTEREXAMPLE
     return VerificationReport(
         "local-finiteness", status,

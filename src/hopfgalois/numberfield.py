@@ -6,6 +6,10 @@ root check, and a reducible m surfaces later as a zero-divisor error on
 inversion).  Field elements are plain tuples of ``Fraction`` of length
 deg(m), always reduced mod m, so tuple equality and hashing are the
 semantic ones.  Degree 1 is plain Q with elements ``(Fraction,)``.
+
+:func:`poly_divmod` is the one long division of univariate polynomials
+over such a field.  It serves the cyclotomic polynomials and the inverse
+here (over Q) and the one-parameter gcd of :mod:`hopfgalois.params`.
 """
 
 from __future__ import annotations
@@ -18,26 +22,34 @@ class ZeroDivisorError(ArithmeticError):
     """Inversion hit a zero divisor; the minimal polynomial is reducible."""
 
 
-def _polydiv(a, b):
-    # division with remainder in Q[z]; a, b lists of Fraction, b != 0
-    a = list(a)
+def poly_divmod(field, a, b):
+    """Long division in field[x]: ``(q, r)`` with a = q*b + r, deg r < deg b.
+
+    Polynomials are lists of field elements, constant term first; Q is
+    ``NumberField.rationals()``.  Trailing zeros of a and b are ignored,
+    and q and r come back without them, so the zero polynomial is ``[]``.
+    """
+    nonzero, mul, sub = field.is_nonzero, field.mul, field.sub
     db = len(b) - 1
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
+    while db >= 0 and not nonzero(b[db]):
         db -= 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - 1 - db
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead_inv = field.inv(b[db])
+    support = [(j, b[j]) for j in range(db) if nonzero(b[j])]
+    r = list(a)
+    while r and not nonzero(r[-1]):
+        r.pop()
+    q = [field.zero] * (len(r) - db)
+    while len(r) > db:
+        c = mul(r.pop(), lead_inv)
+        k = len(r) - db
         q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-        a.pop()
-    return q, a
+        for j, bj in support:
+            r[k + j] = sub(r[k + j], mul(c, bj))
+        while r and not nonzero(r[-1]):
+            r.pop()
+    return q, r
 
 
 class NumberField:
@@ -67,15 +79,14 @@ class NumberField:
     @staticmethod
     def _cyclotomic_coeffs(n):
         """Coefficients of the n-th cyclotomic polynomial, constant first."""
-        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
+        Q = NumberField.rationals()
+        poly = [Q.from_int(-1)] + [Q.zero] * (n - 1) + [Q.one]  # z^n - 1
         for d in range(1, n):
             if n % d == 0:
-                sub = NumberField._cyclotomic_coeffs(d)
-                poly, rem = _polydiv(poly, sub)
-                assert not any(rem)
-        while len(poly) > 1 and poly[-1] == 0:
-            poly.pop()
-        return poly
+                sub = [(c,) for c in NumberField._cyclotomic_coeffs(d)]
+                poly, rem = poly_divmod(Q, poly, sub)
+                assert not rem
+        return [c for (c,) in poly]
 
     def _check_no_rational_root(self):
         # rational root theorem on the integer-scaled polynomial
@@ -146,6 +157,9 @@ class NumberField:
         return tuple(self._reduce(prod))
 
     def _reduce(self, coeffs):
+        # Not poly_divmod: this is the kernel of every mul, and reducing mod
+        # the fixed monic m on bare Fractions needs no quotient, no leading
+        # inverse and no field-element tuples.
         m = self.min_poly
         d = self.degree
         cs = list(coeffs)
@@ -163,33 +177,20 @@ class NumberField:
             raise ZeroDivisionError("inverting zero in number field")
         if self.degree == 1:
             return (1 / a[0],)
-        # extended Euclid: find u with u*a = 1 mod m
-        r0, r1 = list(self.min_poly), list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _polydiv(r0, r1)
+        # extended Euclid in Q[z] on m and a, keeping the cofactor s of each
+        # remainder r (s*a = r mod m) as a field element
+        Q = NumberField.rationals()
+        r0, r1 = [(c,) for c in self.min_poly], [(c,) for c in a]
+        s0, s1 = self.zero, self.one
+        while r1:
+            q, r = poly_divmod(Q, r0, r1)
             r0, r1 = r1, r
-            qs1 = self._plain_mul(q, s1)
-            s0, s1 = s1, [x - y for x, y in
-                          zip(s0 + [Fraction(0)] * max(0, len(qs1) - len(s0)),
-                              qs1 + [Fraction(0)] * max(0, len(s0) - len(qs1)))]
-        while len(r0) > 1 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) > 1:
+            s0, s1 = s1, self.sub(s0, self.mul(self.element([c for (c,) in q]), s1))
+        if any(c for (c,) in r0[1:]):
             raise ZeroDivisorError(
                 "gcd with minimal polynomial is nonconstant; element is a zero divisor")
-        c = r0[0]
-        return self.element([x / c for x in s0])
-
-    @staticmethod
-    def _plain_mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
+        c = r0[0][0]
+        return tuple(x / c for x in s0)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -6,14 +6,16 @@ polynomials; equality is decided by cross-multiplication, so the stored
 representation need not be canonical.  Normalization cancels the common
 monomial factor and scalar content, and runs a univariate gcd when both
 numerator and denominator live in a single parameter, which keeps the
-q-arithmetic of quantum settings tidy.
+q-arithmetic of quantum settings tidy.  That gcd is Euclid's algorithm on
+coefficient lists with :func:`hopfgalois.numberfield.poly_divmod`, which
+also divides numerator and denominator by it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .numberfield import NumberField
+from .numberfield import NumberField, poly_divmod
 from .sparse import power
 
 
@@ -150,8 +152,10 @@ class ParamElem:
 
     @staticmethod
     def _univariate_reduce(field, num, den):
-        # gcd cancellation when both polys are univariate in the same parameter
-        if len(den) == 1 and not any(next(iter(den))):
+        # gcd cancellation when both polys are univariate in the same parameter.
+        # Once the common monomial factor is gone, a side with one term c*q^k
+        # is coprime to the other: q divides at most one of them.
+        if len(num) == 1 or len(den) == 1:
             return num, den
         vs = set()
         for e in list(num) + list(den):
@@ -170,20 +174,6 @@ class ParamElem:
                 out[e[i]] = v
             return out
 
-        def gcd_poly(a, b):
-            while any(nf.is_nonzero(c) for c in b):
-                a, b = b, ParamElem._poly_mod(nf, a, b)
-            return a
-
-        a, b = to_list(num), to_list(den)
-        g = gcd_poly(list(a), list(b))
-        while len(g) > 1 and not nf.is_nonzero(g[-1]):
-            g.pop()
-        if len(g) == 1:
-            return num, den
-        qn = ParamElem._poly_quo(nf, a, g)
-        qd = ParamElem._poly_quo(nf, b, g)
-
         def to_dict(lst):
             out = {}
             for k, v in enumerate(lst):
@@ -192,45 +182,13 @@ class ParamElem:
                     out[e] = v
             return out
 
-        return to_dict(qn), to_dict(qd)
-
-    @staticmethod
-    def _poly_mod(nf, a, b):
-        a = list(a)
-        while len(b) > 1 and not nf.is_nonzero(b[-1]):
-            b = b[:-1]
-        db = len(b) - 1
-        binv = nf.inv(b[-1])
-        while True:
-            while a and not nf.is_nonzero(a[-1]):
-                a.pop()
-            if len(a) - 1 < db or not a:
-                break
-            c = nf.mul(a[-1], binv)
-            k = len(a) - 1 - db
-            for j in range(db + 1):
-                a[k + j] = nf.sub(a[k + j], nf.mul(c, b[j]))
-            a.pop()
-        return a if a else [nf.zero]
-
-    @staticmethod
-    def _poly_quo(nf, a, b):
-        a = list(a)
-        db = len(b) - 1
-        binv = nf.inv(b[-1])
-        q = [nf.zero] * max(len(a) - db, 1)
-        while True:
-            while a and not nf.is_nonzero(a[-1]):
-                a.pop()
-            if len(a) - 1 < db or not a:
-                break
-            c = nf.mul(a[-1], binv)
-            k = len(a) - 1 - db
-            q[k] = c
-            for j in range(db + 1):
-                a[k + j] = nf.sub(a[k + j], nf.mul(c, b[j]))
-            a.pop()
-        return q
+        a, b = to_list(num), to_list(den)
+        g, r = a, b
+        while r:
+            g, r = r, poly_divmod(nf, g, r)[1]
+        if len(g) == 1:
+            return num, den
+        return to_dict(poly_divmod(nf, a, g)[0]), to_dict(poly_divmod(nf, b, g)[0])
 
     # -- predicates -------------------------------------------------------
 

@@ -219,6 +219,9 @@ def _common_denominator(rfs):
 
 
 def _clear(rf, den_all):
+    if den_all.is_constant():
+        # every denominator divides a constant, so each is already 1
+        return rf.num
     q = try_divide(den_all, rf.den)
     if q is None:
         return (rf * RatFunc.of(den_all)).as_poly()
