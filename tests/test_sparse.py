@@ -1,10 +1,13 @@
-"""The sparse-term kernel: zero pruning, the order contract, truncation, powers."""
+"""The sparse-term kernel: zero pruning, the order contract, truncation,
+powers, and how a sparse sum prints."""
 
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 
 from hopfgalois.catalog import QuantumBorel, RationalDifferential, build_setting
+from hopfgalois.numberfield import NumberField
 from hopfgalois.params import ParamField
 from hopfgalois.polyring import PolyRing, RatFunc
 from hopfgalois.sparse import add_into, add_terms, mul_terms, power
@@ -110,3 +113,69 @@ def test_power_agrees_with_repeated_products(name):
         expected = reduce(lambda acc, _: acc * x, range(n), one)
         assert power(x, n, one) == expected, n
         assert x ** n == expected, n
+
+
+@pytest.mark.parametrize("name", ["poly", "ratfunc", "param", "s2"])
+def test_elements_are_unhashable(name):
+    # representations are not canonical, so no hash can agree with ==
+    x, _ = _sample(name)
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+# -- printing -------------------------------------------------------------------
+
+K5 = NumberField.cyclotomic(5)
+P1, P2, PK = ParamField(("q",)), ParamField(("q", "t")), ParamField(("q",), K5)
+R = PolyRing(("x", "z"), laurent=(False, True), params=P1)
+
+
+def _printed():
+    q, t, q2 = P1.param("q"), P2.param("t"), P2.param("q")
+    kq, zeta = PK.param("q"), PK.from_nf(K5.gen())
+    x, z = R.var(0), R.var(1)
+    half = Fraction(1, 2)
+    return {
+        "q": q, "-q": -q, "1 - q": 1 - q, "-q^2 + q - 1": -q ** 2 + q - 1,
+        "(q + 1)/(q - 1)": (q + 1) / (q - 1), "1/(q^2 - 3q)": 1 / (q ** 2 - 3 * q),
+        "-q^3/2": -half * q ** 3,
+        "qt - t^2 + 1": q2 * t - t ** 2 + 1, "t - q": t - q2,
+        "(qt + 1)/(q - t)": (q2 * t + 1) / (q2 - t), "q^2/2 - 3t": half * q2 ** 2 - 3 * t,
+        "zeta q - 1": zeta * kq - 1, "(-1 - zeta) q^2": (-1 - zeta) * kq ** 2,
+        "laurent": ((q + 1) * x ** 2 * z - x + R.monomial((0, -1), P1.from_fraction(half))
+                    + R.monomial((1, -2), -q) + 3),
+        "fractions": (1 / (q - 1)) * x + Fraction(2, 3) * x * z + 1 - x * x,
+        "-xz - 1": -x * z - 1,
+    }
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("q", "q"),
+    ("-q", "-q"),
+    ("1 - q", "-q + 1"),
+    ("-q^2 + q - 1", "-q^2 + q - 1"),
+    ("(q + 1)/(q - 1)", "(q + 1)/(q - 1)"),
+    ("1/(q^2 - 3q)", "(1)/(q^2 - 3*q)"),
+    ("-q^3/2", "-1/2*q^3"),
+    ("qt - t^2 + 1", "q*t - t^2 + 1"),
+    ("t - q", "-q + t"),
+    ("(qt + 1)/(q - t)", "(q*t + 1)/(q - t)"),
+    ("q^2/2 - 3t", "1/2*q^2 - 3*t"),
+    ("zeta q - 1", "(zeta)*q - 1"),
+    ("(-1 - zeta) q^2", "(-1 - zeta)*q^2"),
+    ("laurent", "(q + 1)*x^2*z - x + 3 - q*x*z^-2 + (1/2)*z^-1"),
+    ("fractions", "-x^2 + (2/3)*x*z + ((1)/(q - 1))*x + 1"),
+    ("-xz - 1", "-x*z - 1"),
+])
+def test_sums_print_as_pinned(case, expected):
+    assert str(_printed()[case]) == expected
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ((0, 1), "(zeta)"),
+    ((0, -1), "(-zeta)"),
+    ((1, 0, 1), "(1 + zeta^2)"),
+    ((-1, 0, 0, Fraction(1, 2)), "(-1 + 1/2*zeta^3)"),
+])
+def test_number_field_elements_print_as_pinned(coeffs, expected):
+    assert K5.to_str(K5.element(coeffs)) == expected
