@@ -63,9 +63,6 @@ class DistributionVector:
     def is_zero(self):
         return not self.entries
 
-    def max_order(self):
-        return max((sum(a) for _, tab in self.entries for a in tab), default=0)
-
     def evaluate(self, value):
         """Pair the functional with a lattice element (or rational function)."""
         rf = RatFunc.of(value)

@@ -5,7 +5,10 @@ assumed irreducible (the caller's contract; small degrees get a rational
 root check, and a reducible m surfaces later as a zero-divisor error on
 inversion).  Field elements are plain tuples of ``Fraction`` of length
 deg(m), always reduced mod m, so tuple equality and hashing are the
-semantic ones.  Degree 1 is plain Q with elements ``(Fraction,)``.
+semantic ones.  Degree 1 is plain Q with elements ``(Fraction,)``.  The
+class of z prints as ``zeta``, and an irrational element as a
+parenthesised sum in rising powers, ``(-1 + 1/2*zeta^3)``, through the
+printer of :mod:`hopfgalois.sparse`.
 
 :func:`poly_divmod` is the one long division of univariate polynomials
 over such a field.  It serves the cyclotomic polynomials and the inverse
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .sparse import monomial, signed_sum
 
 
 class ZeroDivisorError(ArithmeticError):
@@ -55,13 +60,14 @@ def poly_divmod(field, a, b):
 class NumberField:
     """Arithmetic context for Q[z]/(m(z)).  Elements are Fraction tuples."""
 
-    def __init__(self, min_poly=(0, 1), gen_name="zeta"):
+    gen_name = "zeta"  # how z prints
+
+    def __init__(self, min_poly=(0, 1)):
         mp = tuple(Fraction(c) for c in min_poly)
         if len(mp) < 2 or mp[-1] != 1:
             raise ValueError("minimal polynomial must be monic of degree >= 1")
         self.min_poly = mp
         self.degree = len(mp) - 1
-        self.gen_name = gen_name
         self.zero = (Fraction(0),) * self.degree
         self.one = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
         if self.degree > 1:
@@ -72,9 +78,9 @@ class NumberField:
         return cls((0, 1))
 
     @classmethod
-    def cyclotomic(cls, n, gen_name="zeta"):
+    def cyclotomic(cls, n):
         """Q adjoined a primitive n-th root of unity (n-th cyclotomic poly)."""
-        return cls(tuple(cls._cyclotomic_coeffs(n)), gen_name=gen_name)
+        return cls(tuple(cls._cyclotomic_coeffs(n)))
 
     @staticmethod
     def _cyclotomic_coeffs(n):
@@ -216,21 +222,8 @@ class NumberField:
     def to_str(self, a):
         if self.degree == 1 or self.is_rational(a):
             return str(a[0])
-        parts = []
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = self.gen_name if i == 1 else "%s^%d" % (self.gen_name, i)
-                if c == 1:
-                    parts.append(head)
-                elif c == -1:
-                    parts.append("-" + head)
-                else:
-                    parts.append("%s*%s" % (c, head))
-        return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
+        return "(%s)" % signed_sum((str(c), monomial((self.gen_name,), (i,)))
+                                   for i, c in enumerate(a) if c)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly

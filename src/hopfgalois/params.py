@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numberfield import NumberField, poly_divmod
-from .sparse import power
+from .sparse import grlex, monomial, power, signed_sum
 
 
 def _dict_add(field, a, b):
@@ -58,10 +58,6 @@ def _dict_scale(field, a, c):
     return {k: field.mul(v, c) for k, v in a.items()}
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
-
-
 class ParamField:
     """Context: parameter names over a number field."""
 
@@ -95,9 +91,6 @@ class ParamField:
             return self.zero
         return ParamElem(self, {self._zero_exp: a},
                          {self._zero_exp: self.nf.one}, _normalized=True)
-
-    def algebraic_gen(self):
-        return self.from_nf(self.nf.gen())
 
     def __eq__(self, other):
         return (isinstance(other, ParamField) and self.names == other.names
@@ -142,7 +135,7 @@ class ParamElem:
             den = {tuple(e[i] - shift[i] for i in range(len(e))): v for e, v in den.items()}
         num, den = ParamElem._univariate_reduce(field, num, den)
         # make the denominator's leading coefficient 1
-        lead = max(den, key=_grlex_key)
+        lead = max(den, key=grlex)
         c = den[lead]
         if c != nf.one:
             cinv = nf.inv(c)
@@ -281,45 +274,14 @@ class ParamElem:
         if other is NotImplemented:
             return NotImplemented
         nf = self.field.nf
-        lhs = _dict_mul(nf, self.num, other.den)
-        rhs = _dict_mul(nf, other.num, self.den)
-        if len(lhs) != len(rhs):
-            return False
-        for k, v in lhs.items():
-            if k not in rhs or rhs[k] != v:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("ParamElem is not hashable; representations are not canonical")
-
-    def key(self):
-        """A stable structural key for deterministic ordering (not semantic)."""
-        return (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
+        return _dict_mul(nf, self.num, other.den) == _dict_mul(nf, other.num, self.den)
 
     # -- display -----------------------------------------------------------
 
     def _poly_str(self, d):
-        nf = self.field.nf
-        if not d:
-            return "0"
-        parts = []
-        for e in sorted(d, key=_grlex_key, reverse=True):
-            c = d[e]
-            mono = "*".join(
-                (self.field.names[i] if x == 1 else "%s^%d" % (self.field.names[i], x))
-                for i, x in enumerate(e) if x)
-            cs = nf.to_str(c)
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append("-" + mono)
-                else:
-                    parts.append("%s*%s" % (cs, mono))
-            else:
-                parts.append(cs)
-        return " + ".join(parts).replace("+ -", "- ")
+        nf, names = self.field.nf, self.field.names
+        return signed_sum((nf.to_str(d[e]), monomial(names, e))
+                          for e in sorted(d, key=grlex, reverse=True))
 
     def __str__(self):
         ns = self._poly_str(self.num)

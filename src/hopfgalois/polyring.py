@@ -15,11 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import ParamElem, ParamField
-from .sparse import add_into, add_terms, mul_terms, power
-
-
-def _grlex(e):
-    return (sum(e), e)
+from .sparse import add_into, add_terms, grlex, monomial, mul_terms, power, signed_sum
 
 
 class PolyRing:
@@ -39,9 +35,6 @@ class PolyRing:
     def var(self, i):
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Poly(self, {exp: self.params.one})
-
-    def var_by_name(self, name):
-        return self.var(self.names.index(name))
 
     def monomial(self, exps, coeff=None):
         coeff = self.params.one if coeff is None else coeff
@@ -128,24 +121,13 @@ class Poly:
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and self.ring._zero_exp in self.terms)
 
-    def constant_coeff(self):
-        return self.terms.get(self.ring._zero_exp, self.ring.params.zero)
-
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(abs(x) for x in e) for e in self.terms)
-
     def leading(self):
         """(exponent, coeff) maximal in graded lex; requires nonzero."""
-        e = max(self.terms, key=_grlex)
+        e = max(self.terms, key=grlex)
         return e, self.terms[e]
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: grlex(kv[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -215,13 +197,8 @@ class Poly:
             other = self.ring.const(c)
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("Poly is not hashable")
-
-    def key(self):
-        return tuple((e, c.key()) for e, c in self.sorted_terms())
+        self._check_ring(other)
+        return self.terms == other.terms
 
     # -- operations -----------------------------------------------------------
 
@@ -249,18 +226,6 @@ class Poly:
             out = out + term
         return out
 
-    def partial(self, i):
-        """Formal partial derivative in variable i (Laurent-aware)."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            k = ne[i]
-            ne[i] -= 1
-            out[tuple(ne)] = c * k
-        return Poly(self.ring, out)
-
     def evaluate(self, point):
         """Value at a point (tuple of ParamElem); Laurent coords must be nonzero."""
         total = self.ring.params.zero
@@ -284,26 +249,13 @@ class Poly:
         return tuple(min(e[i] for e in self.terms) for i in range(self.ring.nvars))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                (self.ring.names[i] if x == 1 else "%s^%d" % (self.ring.names[i], x))
-                for i, x in enumerate(e) if x)
             cs = str(c)
             if "/" in cs or " " in cs:
                 cs = "(%s)" % cs
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append("-" + mono)
-                else:
-                    parts.append("%s*%s" % (cs, mono))
-            else:
-                parts.append(cs)
-        return " + ".join(parts).replace("+ -", "- ")
+            terms.append((cs, monomial(self.ring.names, e)))
+        return signed_sum(terms)
 
     def __repr__(self):
         return "Poly(%s)" % self
@@ -330,7 +282,7 @@ def try_divide(num, den):
     dlead, dcoeff = dpoly.leading()
     quo = {}
     while nwork:
-        e = max(nwork, key=_grlex)
+        e = max(nwork, key=grlex)
         c = nwork[e]
         qe = tuple(a - b for a, b in zip(e, dlead))
         if any(x < 0 for x in qe):
@@ -417,14 +369,6 @@ class RatFunc:
             raise ValueError("not a lattice element: %s" % self)
         return self.num
 
-    def is_constant(self):
-        return self.den == self.ring.one and self.num.is_constant()
-
-    def constant_coeff(self):
-        if not self.is_constant():
-            raise ValueError("not constant: %s" % self)
-        return self.num.constant_coeff()
-
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other):
@@ -491,12 +435,6 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        raise TypeError("RatFunc is not hashable")
-
-    def key(self):
-        return (self.num.key(), self.den.key())
 
     # -- operations ---------------------------------------------------------------
 

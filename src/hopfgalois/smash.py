@@ -37,7 +37,7 @@ class InfGenerator:
     primitives, which twist by the identity).
     """
 
-    def __init__(self, name, ring, values, twist=None, twist_inv=None, kind=None):
+    def __init__(self, name, ring, values, twist=None, twist_inv=None):
         self.name = name
         self.ring = ring
         self.values = {i: RatFunc.of(v) for i, v in values.items()}
@@ -51,7 +51,6 @@ class InfGenerator:
                 if x.substitute(twist).substitute(twist_inv) != x:
                     raise ValueError("twist and inverse twist do not compose to "
                                      "the identity on %s" % ring.names[v])
-        self.kind = kind or ("skew" if twist is not None else "primitive")
         self._mono_cache = {}
         self._zero = RatFunc.of(ring.zero)
 
@@ -450,9 +449,6 @@ class SmashElement:
         if other is NotImplemented:
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("SmashElement is not hashable")
 
     # -- the hat map and normal forms -------------------------------------------
 

@@ -1,4 +1,5 @@
-"""The sparse-term kernel shared by every finite sum in the package.
+"""The sparse-term kernel shared by every finite sum in the package, and
+how such a sum prints.
 
 A polynomial (exponent -> coefficient), a smash-product element
 ((group part, alpha) -> coefficient), a jet and a local distribution
@@ -19,6 +20,11 @@ caller's order exactly:
 The loops are written out in ``add_terms`` and ``mul_terms`` rather than
 calling ``add_into`` per term: ``Poly.__mul__`` runs through here millions
 of times.
+
+Printing.  Parameter polynomials, main-variable polynomials and
+number-field elements all print as a signed sum of ``coeff*monomial``
+terms in the order the caller gives (``grlex`` descending, or by power):
+``monomial`` names an exponent tuple and ``signed_sum`` joins the terms.
 """
 
 from __future__ import annotations
@@ -86,3 +92,33 @@ def power(base, n, one):
         if n:
             base = base * base
     return out
+
+
+def grlex(exps):
+    """Graded lexicographic sort key of an exponent tuple."""
+    return (sum(exps), exps)
+
+
+def monomial(names, exps):
+    """``x*y^2`` for names ("x", "y") and exponents (1, 2); "" for all zeros."""
+    return "*".join(n if x == 1 else "%s^%d" % (n, x) for n, x in zip(names, exps) if x)
+
+
+def signed_sum(terms):
+    """Print (coefficient string, monomial string) pairs as a sum.
+
+    A coefficient of 1 or -1 in front of a monomial is dropped to its sign,
+    an empty monomial prints the bare coefficient, and ``+ -`` becomes ``-``.
+    The empty sum is "0".
+    """
+    parts = []
+    for cs, mono in terms:
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append("%s*%s" % (cs, mono))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"

@@ -108,18 +108,9 @@ def spherical_axiom_check(named_generators, setting, degree):
 
 def _word_pool(presentation, word_length):
     """Products of generators up to the given length, named, plus 1."""
-    S = presentation.setting
-    words = [("1", S.one())]
-    layer = [("1", S.one())]
-    for _ in range(word_length):
-        nxt = []
-        for wname, w in layer:
-            for gname, g in presentation.generators:
-                name = gname if wname == "1" else wname + "*" + gname
-                nxt.append((name, w * g))
-        words.extend(nxt)
-        layer = nxt
-    return words
+    # A function of its own, not an inline call: bench/spans.py wraps
+    # _word_pool by name and counts spherical.morita_products as len**2.
+    return presentation.words(word_length)
 
 
 def morita_witness(presentation, word_length):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .polyring import RatFunc
+from .sparse import monomial
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -26,10 +27,6 @@ class VerificationReport:
     witness: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     provenance: str = ""
-
-    @property
-    def passed(self):
-        return self.status == VERIFIED
 
     def to_dict(self):
         return {
@@ -54,15 +51,20 @@ class OrderPresentation:
     def elements(self):
         return [x for _, x in self.generators]
 
+    def words(self, length):
+        """[(name, element)]: the unit "1", then every product of up to
+        ``length`` generators, shortest first, named ``"a*b"``."""
+        words = [("1", self.setting.one())]
+        layer = words
+        for _ in range(length):
+            layer = [(gname if wname == "1" else wname + "*" + gname, w * g)
+                     for wname, w in layer for gname, g in self.generators]
+            words.extend(layer)
+        return words
+
 
 def _monomial_name(ring, exps):
-    bits = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            bits.append(ring.names[i])
-        elif e:
-            bits.append("%s^%d" % (ring.names[i], e))
-    return "*".join(bits) if bits else "1"
+    return monomial(ring.names, exps) or "1"
 
 
 def preserves_lattice(presentation, degree_bound):
@@ -246,16 +248,7 @@ def generation_witness(presentation, word_length=2):
     """
     S = presentation.setting
     ring = S.ring
-    words = [("1", S.one())]
-    layer = list(words)
-    for _ in range(word_length):
-        nxt = []
-        for wname, w in layer:
-            for gname, g in presentation.generators:
-                name = gname if wname == "1" else wname + "*" + gname
-                nxt.append((name, w * g))
-        words.extend(nxt)
-        layer = nxt
+    words = presentation.words(word_length)
     targets = []
     for w in range(1, S.group_size):
         targets.append((S.group_names[w], S.group_element(w)))
