@@ -55,7 +55,7 @@ class OrderPresentation:
         """[(name, element)]: the unit "1", then every product of up to
         ``length`` generators, shortest first, named ``"a*b"``."""
         words = [("1", self.setting.one())]
-        layer = words
+        layer = list(words)
         for _ in range(length):
             layer = [(gname if wname == "1" else wname + "*" + gname, w * g)
                      for wname, w in layer for gname, g in self.generators]
