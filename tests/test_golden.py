@@ -25,6 +25,7 @@ CASES = {
     "rational-differential-z3-module": ("module", ["--allow-truncation"], 0),
     "trigonometric-inversion-verify": ("verify", [], 0),
     "shift-flag-s2-stabilizer": ("stabilizer", [], 0),
+    "shift-flag-s2-module": ("module", ["--allow-truncation"], 0),
     "gkv-hecke-a1-verify": ("verify", [], 0),
     "ore-verify": ("verify", [], 0),
     "ore-module": ("module", [], 0),

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from hopfgalois import linalg
 from hopfgalois.catalog import (Cherednik, OreFamily, QuantumBorel,
                                 RationalDifferential, ShiftFlag, build_setting,
-                                ore_generator)
+                                ore_generator, standard_generators)
 from hopfgalois.hcmod import (DistributionVector, cyclic_closure_dims,
                               cyclic_module, distribution_action,
                               invariant_coordinate_subspaces,
+                              largest_invariant_avoiding,
                               local_finiteness_check, scalar_module_check,
                               simple_quotient)
 from hopfgalois.polyring import RatFunc
@@ -198,6 +200,62 @@ def test_orbit_window_escape_raises():
     lam = PointIdeal(S.ring, (0,))
     with pytest.raises(ValueError):
         cyclic_module(pres, lam, 1, 5, orbit_window=2)
+
+
+def shift_flag_module(S, generators, coords):
+    pres = OrderPresentation(S, generators)
+    pf = S.ring.params
+    lam = PointIdeal(S.ring, tuple(pf.from_fraction(c) for c in coords))
+    return cyclic_module(pres, lam, 1, 2), lam
+
+
+def shift_flag_line():
+    S = build_setting(ShiftFlag(1))
+    return shift_flag_module(S, [("t", S.from_ratfunc(S.ring.var(0))),
+                                 ("tau", S.group_element(0, (1,)))], (0,))
+
+
+def shift_flag_s2():
+    S = build_setting(ShiftFlag(2, "S2"))
+    gens = dict(standard_generators(S))
+    return shift_flag_module(S, [(n, gens[n]) for n in ("x1", "tau1", "s1")],
+                             (0, 1))
+
+
+def strings(mat):
+    return [[str(c) for c in row] for row in mat]
+
+
+@pytest.mark.parametrize("build, U_rows, U_pivots, quotient", [
+    # the shift carries the character at 0 to the points 1 and 2, where t
+    # acts by 1 and 2: both lie in the invariant part that misses the line
+    (shift_flag_line, [["0", "1", "0"], ["0", "0", "1"]], [1, 2],
+     {"t": [["0"]], "tau": [["0"]]}),
+    # the reflection keeps the character at (0, 1) paired with (1, 0);
+    # the shifted points (1, 1), (2, 1), (2, 0) are divided out
+    (shift_flag_s2, [["0", "1", "0", "0", "0"], ["0", "0", "0", "1", "0"],
+                     ["0", "0", "0", "0", "1"]], [1, 3, 4],
+     {"x1": [["0", "0"], ["0", "1"]], "tau1": [["0", "0"], ["0", "0"]],
+      "s1": [["0", "1"], ["1", "0"]]}),
+])
+def test_proper_simple_quotient(build, U_rows, U_pivots, quotient):
+    M, lam = build()
+    U, upiv = largest_invariant_avoiding(M, lam)
+    assert strings(U) == U_rows
+    assert upiv == U_pivots
+    Q = simple_quotient(M, lam)
+    assert Q.dim == M.dim - len(U_pivots)
+    assert {n: strings(m) for n, m in Q.matrices.items()} == quotient
+    # every matrix maps U into U
+    zero = M.setting.ring.params.zero
+    for A in M.matrices.values():
+        images = [[sum((A[i][k] * u[k] for k in range(M.dim)), start=zero)
+                   for i in range(M.dim)] for u in U]
+        assert linalg.rank(U + images) == len(U)
+    # the brute-force oracle: U is the largest invariant coordinate
+    # subspace that leaves out the character coordinate 0
+    subsets = invariant_coordinate_subspaces(list(M.matrices.values()), M.dim)
+    assert max((s for s in subsets if 0 not in s), key=len) == upiv
 
 
 # -- scalar modules and local finiteness -----------------------------------------------
