@@ -566,7 +566,7 @@ def _monomial_subs_and_conj(ring, elements, inv):
             col = tuple(a[r][v] for r in range(n))
             images[v] = RatFunc.of(ring.monomial(col))
         subs.append(images)
-        ainv = _int_mat_inv(a)
+        ainv = elements[inv[i]]
         conj[i] = {g: [(pf.from_fraction(ainv[g][j]), j) for j in range(n) if ainv[g][j]]
                    for g in range(n)}
     return subs, conj
@@ -583,19 +583,6 @@ def _int_mat_mul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
                  for i in range(n))
-
-
-def _int_mat_inv(a):
-    """The inverse of an integer matrix, which must have integer entries."""
-    n = len(a)
-    pf = ParamField(())
-    rows, pivots = linalg.row_reduce(
-        [[pf.from_int(x) for x in row] + [pf.from_int(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)])
-    inverse = [[x.constant_value()[0] for x in row[n:]] for row in rows]
-    if pivots != list(range(n)) or any(v.denominator != 1 for row in inverse for v in row):
-        raise ValueError("exponent matrix is not invertible over the integers")
-    return tuple(tuple(int(v) for v in row) for row in inverse)
 
 
 def _nf_mat_mul(nf, a, b):

@@ -9,6 +9,11 @@ points along the inverse automorphism, and untwisted primitives act
 through their value jets.  Everything is exact; jets are truncated at a
 declared order, and any dropped nonzero coefficient raises a flag that is
 reported, never silently discarded.
+
+One closure loop, ``_closure`` (a span closed under matrices), serves the
+cyclic submodules, the generation test of local finiteness and the simple
+quotient, which divides out the common kernel of the character row's
+closure under the transposed action matrices.
 """
 
 from __future__ import annotations
@@ -262,9 +267,10 @@ class TruncatedModule:
 
 
 def _mat_vec(params, M, x):
-    d = len(x)
-    return [sum((M[i][k] * x[k] for k in range(d)), start=params.zero)
-            for i in range(d)]
+    """M x, multiplying only where both factors are nonzero (as linalg does)."""
+    support = [k for k, c in enumerate(x) if not c.is_zero()]
+    return [sum((row[k] * x[k] for k in support if not row[k].is_zero()),
+                start=params.zero) for row in M]
 
 
 def _point_index(points, coords):
@@ -375,56 +381,26 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
 
 def largest_invariant_avoiding(module, point):
     """The largest subspace stable under all action matrices that misses the
-    character line, as echelon rows in module coordinates."""
+    character line, as echelon rows in module coordinates, with their pivots.
+
+    For the character row phi it is the common kernel of phi M_w over all
+    words w (Kalman's unobservable subspace): invariant, inside ker phi, and
+    containing every invariant subspace of ker phi.  The rows phi M_w span
+    the closure of phi under the transposed matrices.
+    """
     params = module.setting.ring.params
     ring = module.setting.ring
-    d = module.dim
     key = (_point_index(module.points, point.coords), (0,) * ring.nvars)
     if key not in module.keys:
         raise ValueError("the module has no support at the point")
     col = module.keys.index(key)
-    row = [module.basis[i][col] for i in range(d)]
+    row = [b[col] for b in module.basis]
     if all(c.is_zero() for c in row):
         raise ValueError("the evaluation functional is not in the module")
-    mats = list(module.matrices.values())
-
-    def refine(ech, piv):
-        p = len(ech)
-        if p == 0:
-            return [], []
-        rows = []
-        for M in mats:
-            resids = []
-            for j in range(p):
-                img = _mat_vec(params, M, ech[j])
-                _, resid = _reduce_vec(ech, piv, img)
-                resids.append(resid)
-            for i in range(d):
-                row_i = [resids[j][i] for j in range(p)]
-                if any(not x.is_zero() for x in row_i):
-                    rows.append(row_i)
-        if not rows:
-            return ech, piv
-        kern = linalg.nullspace(rows)
-        out = []
-        for y in kern:
-            vec = [params.zero] * d
-            for j, c in enumerate(y):
-                if not c.is_zero():
-                    vec = [a + c * b for a, b in zip(vec, ech[j])]
-            out.append(vec)
-        red, rp = linalg.row_reduce(out) if out else ([], [])
-        return red[:len(rp)], rp
-
-    U = linalg.nullspace([row])
-    ech, piv = linalg.row_reduce(U) if U else ([], [])
-    ech = ech[:len(piv)]
-    for _ in range(d + 1):
-        new_ech, new_piv = refine(ech, piv)
-        if len(new_ech) == len(ech):
-            return new_ech, new_piv
-        ech, piv = new_ech, new_piv
-    raise AssertionError("invariant-subspace refinement failed to converge")
+    transposed = [[list(c) for c in zip(*M)] for M in module.matrices.values()]
+    U = linalg.nullspace(_closure(params, transposed, [row]))
+    ech, piv = linalg.row_reduce(U)
+    return ech[:len(piv)], piv
 
 
 def simple_quotient(module, point):
@@ -488,8 +464,8 @@ def invariant_coordinate_subspaces(matrices, dim):
     return out
 
 
-def _closure_dim(params, matrices, basis):
-    """dim of the span of ``basis`` closed under the matrices."""
+def _closure(params, matrices, basis):
+    """A basis of the span of ``basis`` closed under the matrices."""
     while True:
         candidates = list(basis)
         for M in matrices:
@@ -497,14 +473,14 @@ def _closure_dim(params, matrices, basis):
                 candidates.append(_mat_vec(params, M, v))
         red, piv = linalg.row_reduce(candidates)
         if len(piv) == len(basis):
-            return len(basis)
+            return basis
         basis = red[:len(piv)]
 
 
 def cyclic_closure_dims(matrices, dim, params):
     """dim of the submodule generated by each coordinate basis vector."""
-    return [_closure_dim(params, matrices,
-                         [[params.one if i == j else params.zero for i in range(dim)]])
+    return [len(_closure(params, matrices,
+                         [[params.one if i == j else params.zero for i in range(dim)]]))
             for j in range(dim)]
 
 
@@ -558,7 +534,7 @@ def local_finiteness_check(module, presentation, r, point, monoid_window=3):
         if g.is_zero() or g.filtration_degree() <= r:
             low_names.append(name)
             mats.append(module.matrices[name])
-    generates = _closure_dim(params, mats, [list(ordinary[0])]) == module.dim
+    generates = len(_closure(params, mats, [list(ordinary[0])])) == module.dim
     span = full_group_span(S, monoid_window)
     stab = stab_group(span, point)
     inf_slab = 1

@@ -273,6 +273,8 @@ class ParamElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         nf = self.field.nf
         return _dict_mul(nf, self.num, other.den) == _dict_mul(nf, other.num, self.den)
 

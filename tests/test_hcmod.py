@@ -14,6 +14,7 @@ from hopfgalois.hcmod import (DistributionVector, cyclic_closure_dims,
                               largest_invariant_avoiding,
                               local_finiteness_check, scalar_module_check,
                               simple_quotient)
+from hopfgalois.params import ParamElem
 from hopfgalois.polyring import RatFunc
 from hopfgalois.stabilizer import PointIdeal
 from hopfgalois.verify import COUNTEREXAMPLE, VERIFIED, OrderPresentation
@@ -257,6 +258,24 @@ def test_proper_simple_quotient(build, U_rows, U_pivots, quotient):
     subsets = invariant_coordinate_subspaces(list(M.matrices.values()), M.dim)
     assert max((s for s in subsets if 0 not in s), key=len) == upiv
 
+
+
+def test_closure_multiplies_no_zeros(monkeypatch):
+    # the action matrices are mostly zeros; the closure that finds the
+    # invariant subspace and the cyclic submodules skips them
+    M, lam = shift_flag_s2()
+    mul = ParamElem.__mul__
+
+    def guarded(a, b):
+        if a.is_zero() or (isinstance(b, ParamElem) and b.is_zero()):
+            raise AssertionError("product with a zero factor")
+        return mul(a, b)
+
+    monkeypatch.setattr(ParamElem, "__mul__", guarded)
+    _, upiv = largest_invariant_avoiding(M, lam)
+    assert upiv == [1, 3, 4]
+    assert cyclic_closure_dims(list(M.matrices.values()), M.dim,
+                               M.setting.ring.params) == [5, 2, 5, 1, 1]
 
 # -- scalar modules and local finiteness -----------------------------------------------
 
