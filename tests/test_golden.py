@@ -34,6 +34,8 @@ CASES = {
     "rational-differential-s2-verify": ("verify", [], 0),
     "shift-flag-s2-verify": ("verify", [], 0),
     "rational-differential-s2-spherical": ("spherical", [], 0),
+    "gkv-hecke-a1-spherical": ("spherical", [], 0),
+    "gkv-hecke-a1-stabilizer": ("stabilizer", [], 0),
 }
 
 
