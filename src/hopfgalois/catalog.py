@@ -58,8 +58,8 @@ class QuantumBorel(Recipe):
         ring = PolyRing(("t",), params=pf)
         q = pf.param("q")
         E = InfGenerator("E", ring, {0: ring.one},
-                         twist={0: RatFunc.of(ring.var(0) * (q ** -1))},
-                         twist_inv={0: RatFunc.of(ring.var(0) * q)})
+                         twist={0: ring.var(0) * (q ** -1)},
+                         twist_inv={0: ring.var(0) * q})
         return Setting(ring, name="quantum-borel", inf_gens=[E], meta={"q": q})
 
     def operators(self, setting):
@@ -160,7 +160,7 @@ class ShiftFlag(Recipe):
         ring = PolyRing(_names("x", n), params=ParamField((), nf))
         subs = _linear_subs(ring, elements, inv)
         # shifts translate every variable; conjugation permutes coordinates
-        xs = [RatFunc.of(ring.var(v)) for v in range(n)]
+        xs = [ring.var(v) for v in range(n)]
         perms = []
         for winv in inv:
             images = [subs[winv].get(v, x) for v, x in enumerate(xs)]
@@ -505,7 +505,7 @@ def _linear_group(name, n):
 def _linear_subs(ring, elements, inv):
     """Per group element w, the substitution x_v -> (row v of w^-1) . x."""
     pf = ring.params
-    return [{v: RatFunc.of(ring.linear([pf.from_nf(x) for x in row]))
+    return [{v: ring.linear([pf.from_nf(x) for x in row])
              for v, row in enumerate(elements[inv[i]])} if i else {}
             for i in range(len(elements))]
 
@@ -564,7 +564,7 @@ def _monomial_subs_and_conj(ring, elements, inv):
         images = {}
         for v in range(n):
             col = tuple(a[r][v] for r in range(n))
-            images[v] = RatFunc.of(ring.monomial(col))
+            images[v] = ring.monomial(col)
         subs.append(images)
         ainv = elements[inv[i]]
         conj[i] = {g: [(pf.from_fraction(ainv[g][j]), j) for j in range(n) if ainv[g][j]]

@@ -139,8 +139,7 @@ def distribution_action(element, xi, jet_order):
             if S.gp_is_identity(gp):
                 q = coords
             else:
-                imgs = [S.gp_act(gp, RatFunc.of(ring.var(v)))
-                        for v in range(ring.nvars)]
+                imgs = list(S.gp_images(gp).values())
                 q = tuple(img.evaluate(coords) for img in imgs)
                 oo = max(sum(a) for a in tab)
                 psis = []

@@ -8,6 +8,10 @@ exactly: after shifting Laurent monomial factors, divisibility of the
 numerator by the denominator is tested with term-ordered long division,
 which is a complete test over a domain.  Equality is always decided by
 cross-multiplication, never by comparing stored representations.
+
+Substitution images are lattice elements, so substituting into a
+polynomial is polynomial arithmetic; only units (monomials, whose
+inverses are Laurent monomials) take negative powers.
 """
 
 from __future__ import annotations
@@ -183,7 +187,11 @@ class Poly:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative power of a polynomial; use RatFunc")
+            if len(self.terms) != 1:
+                raise ValueError("negative power of a polynomial that is not a "
+                                 "monomial; use RatFunc")
+            (e, c), = self.terms.items()
+            return Poly(self.ring, {tuple(-x for x in e): c.inverse()}) ** -n
         return power(self, n, self.ring.one)
 
     def __truediv__(self, other):
@@ -203,26 +211,21 @@ class Poly:
     # -- operations -----------------------------------------------------------
 
     def substitute(self, images):
-        """Replace variable i by images[i] (RatFunc or Poly); exact composition."""
+        """Replace variable i by images[i], a lattice element (a Poly, or a
+        RatFunc in the lattice).  A negative power needs the inverse of its
+        image, so it raises ``ValueError`` unless the image is a monomial."""
         ring = self.ring
-        imgs = {}
-        for i, val in images.items():
-            imgs[i] = val if isinstance(val, RatFunc) else RatFunc.of(val)
-        out = RatFunc.of(ring.zero)
+        imgs = {i: v.as_poly() if isinstance(v, RatFunc) else v
+                for i, v in images.items()}
+        out = ring.zero
         pow_cache = {}
         for e, c in self.terms.items():
-            term = RatFunc.of(ring.const(c))
+            term = ring.monomial(tuple(0 if i in imgs else x for i, x in enumerate(e)), c)
             for i, x in enumerate(e):
-                if not x:
-                    continue
-                if i in imgs:
-                    kkey = (i, x)
-                    if kkey not in pow_cache:
-                        pow_cache[kkey] = imgs[i] ** x
-                    term = term * pow_cache[kkey]
-                else:
-                    term = term * RatFunc.of(ring.monomial(
-                        tuple(x if j == i else 0 for j in range(ring.nvars))))
+                if x and i in imgs:
+                    if (i, x) not in pow_cache:
+                        pow_cache[(i, x)] = imgs[i] ** x
+                    term = term * pow_cache[(i, x)]
             out = out + term
         return out
 
@@ -439,11 +442,8 @@ class RatFunc:
     # -- operations ---------------------------------------------------------------
 
     def substitute(self, images):
-        ns = self.num.substitute(images)
-        ds = self.den.substitute(images)
-        if ds.is_zero():
-            raise ZeroDivisionError("substitution makes the denominator vanish")
-        return ns / ds
+        """``Poly.substitute`` on numerator and denominator; normalises once."""
+        return RatFunc(self.num.substitute(images), self.den.substitute(images))
 
     def evaluate(self, point):
         dv = self.den.evaluate(point)

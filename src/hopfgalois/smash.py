@@ -33,8 +33,8 @@ class InfGenerator:
     """A primitive or skew-primitive generator acting on the fraction field.
 
     ``values`` maps variable index -> image under the generator; ``twist``
-    is the substitution map of the twisting grouplike (None for honest
-    primitives, which twist by the identity).
+    is the substitution map (variable index -> Poly) of the twisting
+    grouplike (None for honest primitives, which twist by the identity).
     """
 
     def __init__(self, name, ring, values, twist=None, twist_inv=None):
@@ -47,7 +47,7 @@ class InfGenerator:
             if twist_inv is None:
                 raise ValueError("a twisted generator needs the inverse twist map")
             for v in range(ring.nvars):
-                x = RatFunc.of(ring.var(v))
+                x = ring.var(v)
                 if x.substitute(twist).substitute(twist_inv) != x:
                     raise ValueError("twist and inverse twist do not compose to "
                                      "the identity on %s" % ring.names[v])
@@ -116,11 +116,13 @@ class Setting:
     """A concrete (coideal subalgebra, lattice) pair with all action data.
 
     Group elements are indexed 0..size-1 with index 0 the identity;
-    ``group_subs[i]`` is the substitution map of element i on the main
-    variables.  ``monoid_vars`` lists which variable each shift coordinate
-    translates by +1; ``monoid_perm[i]`` says how conjugation by element i
-    permutes shift coordinates.  ``conj_table[i][g]`` expands
-    w_i * E_g * w_i^{-1} in the generator span.
+    ``group_subs[i]`` maps a variable index to its Poly image under element
+    i (a variable left out is fixed).  ``monoid_vars`` lists which variable
+    each shift coordinate translates by +1; ``gp_images`` gives the one
+    substitution x_v -> (w |> x_v) + mu_v of a group part (w, mu).
+    ``monoid_perm[i]`` says how conjugation by element i permutes shift
+    coordinates.  ``conj_table[i][g]`` expands w_i * E_g * w_i^{-1} in the
+    generator span.
     """
 
     def __init__(self, ring, name="setting",
@@ -184,18 +186,20 @@ class Setting:
     def gp_is_identity(self, a):
         return a.w == 0 and not any(a.mu)
 
+    def gp_images(self, a):
+        """{v: (w |> x_v) + mu_v} over every variable, for a = (w, mu)."""
+        subs = self.group_subs[a.w]
+        images = {v: subs[v] if v in subs else self.ring.var(v)
+                  for v in range(self.ring.nvars)}
+        for j, v in enumerate(self.monoid_vars):
+            images[v] = images[v] + a.mu[j]
+        return images
+
     def gp_act(self, a, value):
-        """(w, mu) |> f, applied as w after mu."""
-        rf = RatFunc.of(value)
-        if any(a.mu):
-            imgs = {}
-            for j, v in enumerate(self.monoid_vars):
-                if a.mu[j]:
-                    imgs[v] = RatFunc.of(self.ring.var(v) + self.ring.const(a.mu[j]))
-            rf = rf.substitute(imgs)
-        if a.w:
-            rf = rf.substitute(self.group_subs[a.w])
-        return rf
+        """(w, mu) |> f, w after mu, by one substitution; a Poly gives a Poly."""
+        if self.gp_is_identity(a):
+            return value
+        return value.substitute(self.gp_images(a))
 
     def gp_name(self, a):
         parts = []
@@ -290,7 +294,7 @@ class Setting:
         for i, j in pairs:
             k = self.group_mult[i][j]
             for v in range(ring.nvars):
-                x = RatFunc.of(ring.var(v))
+                x = ring.var(v)
                 lhs = self.gp_act(self.gp(i), self.gp_act(self.gp(j), x))
                 rhs = self.gp_act(self.gp(k), x)
                 if lhs != rhs:
@@ -304,7 +308,7 @@ class Setting:
                 winv = self.gp(self.group_inv[w])
                 wgp = self.gp(w)
                 for v in range(ring.nvars):
-                    x = RatFunc.of(ring.var(v))
+                    x = ring.var(v)
                     lhs = self.gp_act(wgp, gen.act(self.gp_act(winv, x)))
                     rhs = RatFunc.of(ring.zero)
                     for c, g2 in rule:

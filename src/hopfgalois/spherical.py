@@ -47,7 +47,7 @@ def reynolds(setting, poly):
     """The group average of a polynomial."""
     total = setting.ring.zero
     for w in range(setting.group_size):
-        total = total + setting.gp_act(setting.gp(w), RatFunc.of(poly)).as_poly()
+        total = total + setting.gp_act(setting.gp(w), poly)
     inv = setting.ring.params.from_fraction(1) / \
         setting.ring.params.from_fraction(setting.group_size)
     return total * inv

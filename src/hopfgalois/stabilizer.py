@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import RatFunc
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
 
@@ -33,7 +32,7 @@ class PointIdeal:
                     "Laurent variable %s cannot vanish at a point" % ring.names[i])
 
     def evaluate(self, value):
-        return RatFunc.of(value).evaluate(self.coords)
+        return value.evaluate(self.coords)
 
     def __eq__(self, other):
         return (isinstance(other, PointIdeal) and self.ring == other.ring
@@ -48,12 +47,9 @@ class PointIdeal:
 
 def moved_point(setting, gp, point):
     """The point of g(m): coordinates (g^{-1} |> x_i)(p)."""
-    ginv = setting.gp_inv(gp)
-    coords = []
-    for v in range(setting.ring.nvars):
-        img = setting.gp_act(ginv, RatFunc.of(setting.ring.var(v)))
-        coords.append(img.evaluate(point.coords))
-    return PointIdeal(setting.ring, coords)
+    images = setting.gp_images(setting.gp_inv(gp))
+    return PointIdeal(setting.ring,
+                      [img.evaluate(point.coords) for img in images.values()])
 
 
 def fixes_point(setting, gp, point):
@@ -115,8 +111,7 @@ def verify_reductor(reductor, span, point):
     for g in span.members:
         total = ring.zero
         for r, s in reductor.pairs:
-            acted = setting.gp_act(g, RatFunc.of(s))
-            total = total + (RatFunc.of(r) * acted).as_poly()
+            total = total + r * setting.gp_act(g, s)
         if not total.is_zero():
             return VerificationReport(
                 "reductor", COUNTEREXAMPLE,
@@ -153,7 +148,7 @@ def find_reductor(span, point):
         a = _separating_element(setting, g, point)
         if a is None:
             return None
-        ga = setting.gp_act(g, RatFunc.of(a)).as_poly()
+        ga = setting.gp_act(g, a)
         rg = Reductor([(ring.one, a), (-ga, ring.one)])
         result = rg if result is None else result.product(rg)
     return result
@@ -163,14 +158,14 @@ def _separating_element(setting, g, point):
     ring = setting.ring
     for v in range(ring.nvars):
         a = ring.var(v)
-        if point.evaluate(a) != setting.gp_act(g, RatFunc.of(a)).evaluate(point.coords):
+        if point.evaluate(a) != point.evaluate(setting.gp_act(g, a)):
             return a
     # coordinates agree on all variables: scan degree-2 monomials as a fallback
     for exps in ring.monomials_up_to(2, include_negative=True):
         if not any(exps):
             continue
         a = ring.monomial(exps)
-        if point.evaluate(a) != setting.gp_act(g, RatFunc.of(a)).evaluate(point.coords):
+        if point.evaluate(a) != point.evaluate(setting.gp_act(g, a)):
             return a
     return None
 

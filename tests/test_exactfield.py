@@ -7,7 +7,7 @@ import pytest
 
 from hopfgalois.numberfield import NumberField, ZeroDivisorError
 from hopfgalois.params import ParamField
-from hopfgalois.polyring import PolyRing, RatFunc, taylor_jet, try_divide
+from hopfgalois.polyring import Poly, PolyRing, RatFunc, taylor_jet, try_divide
 from hopfgalois import linalg
 
 
@@ -178,6 +178,35 @@ def test_substitute_singular_denominator():
     f = RatFunc(R.one, x - 1)
     with pytest.raises(ZeroDivisionError):
         f.substitute({0: RatFunc.of(R.one)})
+
+
+def test_substitute_polynomial_images_builds_no_ratfunc(monkeypatch):
+    R = make_ring()
+    q = R.params.param("q")
+    x, z = R.var(0), R.var(1)
+    f = x ** 2 * z ** -1 + z * q
+
+    def no_ratfunc(*args, **kwargs):
+        raise AssertionError("a RatFunc was built")
+
+    monkeypatch.setattr(RatFunc, "__init__", no_ratfunc)
+    img = f.substitute({0: x + q, 1: z * q})
+    assert isinstance(img, Poly)
+    assert img == (x + q) ** 2 * z ** -1 * q ** -1 + z * q ** 2
+
+
+def test_substitute_inverts_only_units():
+    R = make_ring()
+    q = R.params.param("q")
+    x, z = R.var(0), R.var(1)
+    f = R.monomial((1, -2))
+    assert f.substitute({1: z ** -1 * q}) == x * z ** 2 * q ** -2
+    # z^-2 -> (z + 1)^-2, (x z)^-2 and x^-2 would leave the lattice
+    for images in ({1: z + 1}, {1: RatFunc.of(z + 1)}, {1: x * z}, {1: x}):
+        with pytest.raises(ValueError):
+            f.substitute(images)
+        with pytest.raises(ValueError):
+            RatFunc.of(f).substitute(images)
 
 
 def test_substitute_is_multiplicative():

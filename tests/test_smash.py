@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from hopfgalois.catalog import (Cherednik, OreFamily, QuantumBorel,
+from hopfgalois.catalog import (Cherednik, GKVHecke, OreFamily, QuantumBorel,
                                 RationalDifferential, ShiftFlag, build_setting,
                                 dunkl_operator, quantum_borel_E)
-from hopfgalois.polyring import RatFunc
+from hopfgalois.polyring import Poly, RatFunc
+from hopfgalois.stabilizer import full_group_span
 
 
 def weyl():
@@ -43,6 +44,28 @@ def test_grouplike_substitution_cross_relation():
     x1 = S.from_ratfunc(S.ring.var(0))
     x2 = S.from_ratfunc(S.ring.var(1))
     assert s * x1 == x2 * s
+
+
+def test_group_part_acts_by_one_substitution(monkeypatch):
+    # (w, mu) |> f is w after mu, one substitution x_v -> (w |> x_v) + mu_v,
+    # and on a lattice element it is lattice arithmetic only
+    S = build_setting(ShiftFlag(2, "S2"))
+    x1, x2 = S.ring.var(0), S.ring.var(1)
+    polys = [x1, x1 ** 2 * x2 + 3, x1 * x2 - x2 ** 3]
+    span = full_group_span(S, 1).members
+    two_passes = [[S.gp_act(S.gp(a.w), S.gp_act(S.gp(0, a.mu), f)) for f in polys]
+                  for a in span]
+    L = build_setting(GKVHecke("A1"))
+    z = L.ring.var(0)
+
+    def no_ratfunc(*args, **kwargs):
+        raise AssertionError("a RatFunc was built")
+
+    monkeypatch.setattr(RatFunc, "__init__", no_ratfunc)
+    for a, expected in zip(span, two_passes):
+        assert [S.gp_act(a, f) for f in polys] == expected
+    acted = L.gp_act(L.gp(1), z ** 2 + z ** -1)  # s1: z -> z^-1
+    assert isinstance(acted, Poly) and acted == z ** -2 + z
 
 
 def test_iterated_skew_relation():
