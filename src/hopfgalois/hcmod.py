@@ -281,14 +281,16 @@ def _point_index(points, coords):
 
 
 def _reduce_vec(ech_rows, pivots, vec):
-    """Subtract the echelon combination; returns (coords, residual)."""
+    """Subtract the echelon combination; returns (coords, residual).
+
+    Row k has a 1 at ``pivots[k]`` and zeros at the pivots before it."""
     v = list(vec)
     coords = []
     for row, p in zip(ech_rows, pivots):
         c = v[p]
         coords.append(c)
         if not c.is_zero():
-            v = [a - c * b for a, b in zip(v, row)]
+            v = [a if b.is_zero() else a - c * b for a, b in zip(v, row)]
     return coords, v
 
 
@@ -464,16 +466,18 @@ def invariant_coordinate_subspaces(matrices, dim):
 
 
 def _closure(params, matrices, basis):
-    """A basis of the span of ``basis`` closed under the matrices."""
-    while True:
-        candidates = list(basis)
-        for M in matrices:
-            for v in basis:
-                candidates.append(_mat_vec(params, M, v))
-        red, piv = linalg.row_reduce(candidates)
-        if len(piv) == len(basis):
-            return basis
-        basis = red[:len(piv)]
+    """A basis of the span of ``basis`` closed under the matrices, from a
+    worklist: a vector that enlarges the span joins the basis (scaled to a
+    pivot 1) and is multiplied by each matrix once."""
+    rows, pivots, queue = [], [], list(basis)
+    while queue:
+        _, v = _reduce_vec(rows, pivots, queue.pop())
+        p = next((k for k, c in enumerate(v) if not c.is_zero()), None)
+        if p is not None:
+            rows.append([c if c.is_zero() else c / v[p] for c in v])
+            pivots.append(p)
+            queue.extend(_mat_vec(params, M, rows[-1]) for M in matrices)
+    return rows
 
 
 def cyclic_closure_dims(matrices, dim, params):
