@@ -24,8 +24,10 @@ config.  Reports embed the bounds used and a one-line statement of the
 identity or axiom each check certifies; identical configs produce
 byte-identical reports.  Exit codes: 0 all
 verified, 1 counterexample (or truncation leakage without
-``--allow-truncation``), 2 usage error, 3 inconclusive-at-bound under
-``--strict``.
+``--allow-truncation``), 2 usage error (including a ``module`` point where
+a generator has a pole), 3 inconclusive-at-bound under ``--strict``,
+4 unsupported (a computation the package does not implement, such as
+``module`` on a twisted generator; an ``unsupported:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -380,6 +382,10 @@ def cmd_module(args):
     config = load_config(args.config)
     setting, presentation, bounds = build_from_config(config, args)
     point = parse_point(setting, config.get("point"))
+    for name, g in presentation.generators:
+        if any(c.den.evaluate(point.coords).is_zero() for c in g.terms.values()):
+            raise UsageError("point: generator %s has a pole at %s"
+                             % (name, point.label()))
     module = cyclic_module(presentation, point, bounds["jet_order"],
                            bounds["word_length"], bounds["orbit_window"])
     quotient = simple_quotient(module, point)
@@ -549,6 +555,9 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
+    except NotImplementedError as exc:
+        print("unsupported: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

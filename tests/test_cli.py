@@ -101,6 +101,9 @@ def test_verify_malformed_config(tmp_path, capsys):
                   "extra_generators[0]"))
     cases.append(("module", {"recipe": ore, "point": ["0"], "extra_generators": [
         {"name": 5, "terms": [{"inf": [1]}]}]}, "extra_generators[0].name"))
+    # a point where a generator has a pole (the Dunkl term c/x1 at 0)
+    cases.append(("module", {"recipe": {"kind": "cherednik", "n": 1, "group": "Z2"},
+                             "point": ["0"]}, "generator D1 has a pole at (0)"))
     # config values of the wrong JSON type
     for doc, needle in [
             ({"recipe": ore, "generators": 5}, "generators"),
@@ -140,6 +143,15 @@ def test_verify_malformed_config(tmp_path, capsys):
         assert main([command, cfg]) == 2, doc
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and needle in err, err
+
+
+def test_unsupported_computation_exits_4(tmp_path, capsys):
+    # the skew-primitive E of the quantum Borel has no distribution transport
+    cfg = write_config(tmp_path, {"recipe": {"kind": "quantum-borel"}, "point": ["1"]})
+    assert main(["module", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("unsupported: distribution transport")
+    assert captured.out == ""
 
 
 def test_bounds_are_read_as_integers():
