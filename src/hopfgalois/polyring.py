@@ -212,8 +212,8 @@ class Poly:
 
     def substitute(self, images):
         """Replace variable i by images[i], a lattice element (a Poly, or a
-        RatFunc in the lattice).  A negative power needs the inverse of its
-        image, so it raises ``ValueError`` unless the image is a monomial."""
+        RatFunc in the lattice).  A negative power needs its image's inverse,
+        so it raises ``ValueError`` unless the image is a Laurent monomial."""
         ring = self.ring
         imgs = {i: v.as_poly() if isinstance(v, RatFunc) else v
                 for i, v in images.items()}
