@@ -36,6 +36,8 @@ CASES = {
     "rational-differential-s2-spherical": ("spherical", [], 0),
     "gkv-hecke-a1-spherical": ("spherical", [], 0),
     "gkv-hecke-a1-stabilizer": ("stabilizer", [], 0),
+    "cherednik-z2-checks-strict": ("verify", ["--strict"], 3),
+    "ore-counterexample-verify": ("verify", [], 1),
 }
 
 
