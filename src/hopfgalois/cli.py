@@ -309,28 +309,27 @@ def _emit(document, out_path):
         sys.stdout.write(text)
 
 
-def _exit_code(reports, strict, leaked=False, allow_truncation=False):
-    if any(r.status == COUNTEREXAMPLE for r in reports):
-        return 1
-    if leaked and not allow_truncation:
-        return 1
-    if strict and any(r.status == INCONCLUSIVE for r in reports):
-        return 3
-    return 0
+def _checks(doc, reports):
+    """Write the ``checks`` and ``summary`` of a report; return the body's result."""
+    doc["checks"] = [r.to_dict() for r in reports]
+    doc["summary"] = {
+        "verified": sum(r.status == VERIFIED for r in reports),
+        "counterexamples": sum(r.status == COUNTEREXAMPLE for r in reports),
+        "inconclusive": sum(r.status == INCONCLUSIVE for r in reports),
+    }
+    return reports, False
 
 
 CHECKS = ("preserves-lattice", "identities", "split-maxcomm", "fo-certificate",
           "generation", "representation")
 
 
-def cmd_verify(args):
-    config = load_config(args.config)
+def cmd_verify(config, setting, presentation, bounds, doc):
     wanted = _get(config, "checks", CHECKS, list, "a list of check names")
     for name in wanted:
         if name not in CHECKS:
             raise UsageError("checks: unknown check name %r (known: %s)"
                              % (name, ", ".join(CHECKS)))
-    setting, presentation, bounds = build_from_config(config, args)
     reports = []
     if "preserves-lattice" in wanted:
         reports.append(preserves_lattice(presentation, bounds["degree"]))
@@ -358,29 +357,10 @@ def cmd_verify(args):
                                           min(bounds["word_length"], 2)))
     if "representation" in wanted:
         reports.append(representation_consistency(setting, presentation))
-
-    doc = {
-        "setting": setting.name,
-        "recipe": config.get("recipe"),
-        "bounds": bounds,
-        "checks": [r.to_dict() for r in reports],
-        "summary": _summary(reports),
-    }
-    _emit(doc, args.out)
-    return _exit_code(reports, args.strict)
+    return _checks(doc, reports)
 
 
-def _summary(reports):
-    return {
-        "verified": sum(r.status == VERIFIED for r in reports),
-        "counterexamples": sum(r.status == COUNTEREXAMPLE for r in reports),
-        "inconclusive": sum(r.status == INCONCLUSIVE for r in reports),
-    }
-
-
-def cmd_module(args):
-    config = load_config(args.config)
-    setting, presentation, bounds = build_from_config(config, args)
+def cmd_module(config, setting, presentation, bounds, doc):
     point = parse_point(setting, config.get("point"))
     for name, g in presentation.generators:
         if any(c.den.evaluate(point.coords).is_zero() for c in g.terms.values()):
@@ -389,38 +369,28 @@ def cmd_module(args):
     module = cyclic_module(presentation, point, bounds["jet_order"],
                            bounds["word_length"], bounds["orbit_window"])
     quotient = simple_quotient(module, point)
-    reports = []
-    doc = {
-        "setting": setting.name,
-        "recipe": config.get("recipe"),
-        "bounds": bounds,
-        "point": point.label(),
-        "module": {
-            "dimension": module.dim,
-            "basis": module.basis_labels(),
-            "points": [p.label() for p in module.points],
-            "weight-block-dims": module.point_block_dims(),
-            "ordinary-weight-dim": len(module.ordinary_weight_space(point)),
-            "truncation-leaks": {k: bool(v) for k, v in sorted(module.leaks.items())},
-            "matrices": {name: [[str(c) for c in row] for row in mat]
-                         for name, mat in sorted(module.matrices.items())},
-        },
-        "simple-quotient-dimension": quotient.dim,
+    doc["point"] = point.label()
+    doc["module"] = {
+        "dimension": module.dim,
+        "basis": module.basis_labels(),
+        "points": [p.label() for p in module.points],
+        "weight-block-dims": module.point_block_dims(),
+        "ordinary-weight-dim": len(module.ordinary_weight_space(point)),
+        "truncation-leaks": {k: bool(v) for k, v in sorted(module.leaks.items())},
+        "matrices": {name: [[str(c) for c in row] for row in mat]
+                     for name, mat in sorted(module.matrices.items())},
     }
+    doc["simple-quotient-dimension"] = quotient.dim
     if isinstance(setting.recipe, cat.OreFamily):
         # informational: whether a one-dimensional family sits at this point
         p = setting.meta["p"]
         rep = scalar_module_check(p, point.coords[0],
                                   setting.ring.params.from_fraction(1))
         doc["scalar-family"] = rep.to_dict()
-    _emit(doc, args.out)
-    return _exit_code(reports, args.strict, leaked=module.any_leak(),
-                      allow_truncation=args.allow_truncation)
+    return [], module.any_leak()
 
 
-def cmd_stabilizer(args):
-    config = load_config(args.config)
-    setting, presentation, bounds = build_from_config(config, args)
+def cmd_stabilizer(config, setting, presentation, bounds, doc):
     point = parse_point(setting, config.get("point"))
     window = bounds["orbit_window"]
     span = full_group_span(setting, min(window, 3))
@@ -439,23 +409,15 @@ def cmd_stabilizer(args):
         reductors.append({"grouplike": setting.gp_name(g),
                           "pairs": red.describe(), "status": rep.status})
     finite, why = finiteness_predicate(setting, point, min(window, 3))
-    doc = {
-        "setting": setting.name,
-        "recipe": config.get("recipe"),
-        "bounds": bounds,
-        "point": point.label(),
-        "stabilizer": stab.names(),
-        "examined": len(span.members),
-        "reductors": reductors,
-        "finiteness": {"finite": finite, "explanation": why},
-    }
-    _emit(doc, args.out)
-    return _exit_code(reports, args.strict)
+    doc["point"] = point.label()
+    doc["stabilizer"] = stab.names()
+    doc["examined"] = len(span.members)
+    doc["reductors"] = reductors
+    doc["finiteness"] = {"finite": finite, "explanation": why}
+    return reports, False
 
 
-def cmd_spherical(args):
-    config = load_config(args.config)
-    setting, presentation, bounds = build_from_config(config, args)
+def cmd_spherical(config, setting, presentation, bounds, doc):
     reports = []
     e = sph.idempotent(setting)
     ok = (e * e) == e and all(
@@ -499,16 +461,32 @@ def cmd_spherical(args):
                                                  bounds["degree"]))
     if setting.group_size > 1:
         reports.append(sph.morita_witness(presentation, bounds["word_length"]))
+    return _checks(doc, reports)
 
-    doc = {
-        "setting": setting.name,
-        "recipe": config.get("recipe"),
-        "bounds": bounds,
-        "checks": [r.to_dict() for r in reports],
-        "summary": _summary(reports),
-    }
+
+# subcommand -> body: adds its keys to the report, returns (reports, leaked)
+SUBCOMMANDS = {"verify": cmd_verify, "module": cmd_module,
+               "stabilizer": cmd_stabilizer, "spherical": cmd_spherical}
+
+
+def run(args):
+    """One subcommand from its config to its exit code: load and build the
+    setting, run the body, write the report, and exit 1 on a counterexample
+    (or on leaked jets without ``--allow-truncation``), 3 on an inconclusive
+    check under ``--strict``, else 0."""
+    config = load_config(args.config)
+    setting, presentation, bounds = build_from_config(config, args)
+    doc = {"setting": setting.name, "recipe": config.get("recipe"), "bounds": bounds}
+    reports, leaked = SUBCOMMANDS[args.command](config, setting, presentation,
+                                                bounds, doc)
     _emit(doc, args.out)
-    return _exit_code(reports, args.strict)
+    if any(r.status == COUNTEREXAMPLE for r in reports):
+        return 1
+    if leaked and not getattr(args, "allow_truncation", False):
+        return 1
+    if args.strict and any(r.status == INCONCLUSIVE for r in reports):
+        return 3
+    return 0
 
 
 def build_parser():
@@ -541,17 +519,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "catalog": cmd_catalog,
-        "verify": cmd_verify,
-        "module": cmd_module,
-        "stabilizer": cmd_stabilizer,
-        "spherical": cmd_spherical,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return cmd_catalog(args) if args.command == "catalog" else run(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
