@@ -24,10 +24,13 @@ config.  Reports embed the bounds used and a one-line statement of the
 identity or axiom each check certifies; identical configs produce
 byte-identical reports.  Exit codes: 0 all
 verified, 1 counterexample (or truncation leakage without
-``--allow-truncation``), 2 usage error (including a ``module`` point where
-a generator has a pole), 3 inconclusive-at-bound under ``--strict``,
-4 unsupported (a computation the package does not implement, such as
-``module`` on a twisted generator; an ``unsupported:`` line on stderr).
+``--allow-truncation``), 2 usage error (including, for ``module``, a
+generator with a pole at a support point the module reaches, and more
+support points than ``bounds.orbit_window``), 3 inconclusive-at-bound
+under ``--strict``, 4 unsupported (a computation the package does not
+implement, such as ``module`` on a twisted generator; an ``unsupported:``
+line on stderr) or internal error (a traceback, then an ``internal
+error:`` line).  Every subcommand but ``catalog`` runs through ``run``.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ import dataclasses
 import json
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 from . import catalog as cat
 from . import spherical as sph
-from .hcmod import cyclic_module, scalar_module_check, simple_quotient
+from .hcmod import (ModuleInputError, cyclic_module, scalar_module_check,
+                    simple_quotient)
 from .polyring import RatFunc
 from .stabilizer import (PointIdeal, GrouplikeSpan, find_reductor,
                          finiteness_predicate, full_group_span, stab_group,
@@ -362,12 +367,11 @@ def cmd_verify(config, setting, presentation, bounds, doc):
 
 def cmd_module(config, setting, presentation, bounds, doc):
     point = parse_point(setting, config.get("point"))
-    for name, g in presentation.generators:
-        if any(c.den.evaluate(point.coords).is_zero() for c in g.terms.values()):
-            raise UsageError("point: generator %s has a pole at %s"
-                             % (name, point.label()))
-    module = cyclic_module(presentation, point, bounds["jet_order"],
-                           bounds["word_length"], bounds["orbit_window"])
+    try:
+        module = cyclic_module(presentation, point, bounds["jet_order"],
+                               bounds["word_length"], bounds["orbit_window"])
+    except ModuleInputError as exc:
+        raise UsageError(str(exc))
     quotient = simple_quotient(module, point)
     doc["point"] = point.label()
     doc["module"] = {
@@ -527,6 +531,11 @@ def main(argv=None):
         return 2
     except NotImplementedError as exc:
         print("unsupported: %s" % exc, file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # a fault of the package, never a verdict: exit 1 means counterexample
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4
 
 

@@ -28,6 +28,12 @@ from .stabilizer import PointIdeal, full_group_span, stab_group
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
 
+class ModuleInputError(ValueError):
+    """The module cannot be built from these inputs: a coefficient has a
+    pole at a support point the module reaches, or the support points
+    outgrow the orbit window."""
+
+
 class DistributionVector:
     """A finitely supported functional on the lattice."""
 
@@ -111,7 +117,8 @@ def distribution_action(element, xi, jet_order):
 
     Returns (vector, leaked): ``leaked`` reports that a nonzero coefficient
     beyond the jet order was dropped.  Twisted (skew-primitive) generators
-    spread support along their twist orbit and are not handled here.
+    spread support along their twist orbit and are not handled here.  A
+    coefficient with a pole at a support point raises ``ModuleInputError``.
     """
     S = element.setting
     ring = S.ring
@@ -128,6 +135,9 @@ def distribution_action(element, xi, jet_order):
             order = max(sum(a) for a in table)
             # multiplication dual at the original point
             tab = {}
+            if coeff.den.evaluate(coords).is_zero():
+                raise ModuleInputError("has a pole at %s"
+                                       % PointIdeal(ring, coords).label())
             jc = taylor_jet(coeff, coords, order)
             for a, ca in table.items():
                 for b, cb in jc.coeffs.items():
@@ -303,14 +313,21 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
     """
     S = presentation.setting
     ring = S.ring
+
+    def act(name, op, v):
+        try:
+            return distribution_action(op, v, jet_order)
+        except ModuleInputError as exc:
+            raise ModuleInputError("generator %s %s" % (name, exc)) from None
+
     xi0 = DistributionVector.evaluation(ring, point.coords)
     vectors = [xi0]
     frontier = [xi0]
     for _ in range(word_length):
         nxt = []
-        for _, g in presentation.generators:
+        for name, g in presentation.generators:
             for v in frontier:
-                w, _ = distribution_action(g, v, jet_order)
+                w, _ = act(name, g, v)
                 if not w.is_zero():
                     nxt.append(w)
         frontier = nxt
@@ -324,7 +341,8 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
             return i
         points.append(PointIdeal(ring, coords))
         if len(points) > orbit_window:
-            raise ValueError("support point escapes the declared orbit window")
+            raise ModuleInputError("the module reaches more support points than "
+                                   "bounds.orbit_window = %d" % orbit_window)
         return len(points) - 1
 
     raw = []
@@ -346,12 +364,12 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
                              points, jet_order, keys, basis, list(pivots),
                              {}, {}, [], [])
 
-    def matrix_for(op):
+    def matrix_for(name, op):
         cols = []
         leak = False
         for i in range(len(basis)):
             bv = module.basis_vector(i)
-            w, lk = distribution_action(op, bv, jet_order)
+            w, lk = act(name, op, bv)
             leak = leak or lk
             entry = {}
             for coords, tab in w.entries:
@@ -372,9 +390,9 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
         return mat, leak
 
     for name, g in presentation.generators:
-        module.matrices[name], module.leaks[name] = matrix_for(g)
+        module.matrices[name], module.leaks[name] = matrix_for(name, g)
     for v in range(ring.nvars):
-        mat, leak = matrix_for(S.from_ratfunc(ring.var(v)))
+        mat, leak = matrix_for(ring.names[v], S.from_ratfunc(ring.var(v)))
         module.var_matrices.append(mat)
         module.var_leaks.append(leak)
     return module

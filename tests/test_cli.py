@@ -3,6 +3,7 @@
 import argparse
 import json
 
+from hopfgalois import cli
 from hopfgalois.cli import build_from_config, main
 
 
@@ -104,6 +105,15 @@ def test_verify_malformed_config(tmp_path, capsys):
     # a point where a generator has a pole (the Dunkl term c/x1 at 0)
     cases.append(("module", {"recipe": {"kind": "cherednik", "n": 1, "group": "Z2"},
                              "point": ["0"]}, "generator D1 has a pole at (0)"))
+    # a pole at a point the module reaches: 1/x1 at x1 = 0, through tau1^-1
+    cases.append(("module", {"recipe": {"kind": "shift-flag", "n": 1}, "point": ["1"],
+                             "bounds": {"word_length": 2},
+                             "extra_generators": [{"terms": [{"den_exps": [1]}]}]},
+                  "generator extra0 has a pole at (0)"))
+    # more support points than the default orbit window of 8
+    cases.append(("module", {"recipe": {"kind": "shift-flag", "n": 2, "group": "S2"},
+                             "point": ["0", "0"], "bounds": {"word_length": 2}},
+                  "bounds.orbit_window = 8"))
     # config values of the wrong JSON type
     for doc, needle in [
             ({"recipe": ore, "generators": 5}, "generators"),
@@ -152,6 +162,21 @@ def test_unsupported_computation_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("unsupported: distribution transport")
     assert captured.out == ""
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a fault inside a check is neither a verdict (exit 1) nor a report
+    def broken(*args):
+        raise AssertionError("check failed to replay")
+
+    monkeypatch.setattr(cli, "preserves_lattice", broken)
+    cfg = write_config(tmp_path, {"recipe": {"kind": "ore", "p": [1]}})
+    out = tmp_path / "report.json"
+    assert main(["verify", cfg, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "internal error: AssertionError: check failed to replay" in err
 
 
 def test_bounds_are_read_as_integers():
