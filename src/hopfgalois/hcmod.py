@@ -134,10 +134,10 @@ def distribution_action(element, xi, jet_order):
         for coords, table in xi.entries:
             order = max(sum(a) for a in table)
             # multiplication dual at the original point
-            tab = {}
             if coeff.den.evaluate(coords).is_zero():
                 raise ModuleInputError("has a pole at %s"
                                        % PointIdeal(ring, coords).label())
+            tab = {}
             jc = taylor_jet(coeff, coords, order)
             for a, ca in table.items():
                 for b, cb in jc.coeffs.items():
