@@ -7,13 +7,21 @@ the summary that ``hopfgalois catalog`` prints, and it provides
 * ``build()``: the :class:`~hopfgalois.smash.Setting`;
 * ``operators(setting)``: the named distinguished operators, which
   :func:`standard_generators` lists after the lattice variables and the
-  group elements;
+  group elements (by default the infinitesimal generators, by name);
 * ``identities(setting)``: reports on the exact structural identities of
   the family, the ``identities`` check of ``hopfgalois verify``.
 
 ``RECIPES`` maps each config ``kind`` to its class, and
 :func:`build_setting` records the recipe on the setting it builds as
 ``setting.recipe``.
+
+Every finite group is a matrix group: its elements are n x n matrices,
+tuples of rows of :class:`~hopfgalois.numberfield.NumberField` elements,
+over Q for the permutation and monomial groups and for GKV, and over
+Q(zeta_l) for ``Z<l>``.  One enumeration closes the generators under the
+one matrix product and returns the elements with their names and their
+multiplication and inverse tables.  A monomial group acts on Laurent
+variables through the integer exponents in its rational entries.
 
 Reflections are detected as group elements s with rank(s - 1) = 1; their
 root form alpha_s is read off the image of (s - 1) on linear forms and
@@ -24,7 +32,6 @@ invariant in alpha_s, so the normalization is harmless).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .numberfield import NumberField
@@ -39,6 +46,10 @@ from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
 class Recipe:
     """Base of the catalog recipes (see the module docstring)."""
+
+    def operators(self, setting):
+        return [(gen.name, setting.inf_element(g))
+                for g, gen in enumerate(setting.inf_gens)]
 
     def identities(self, setting):
         return []
@@ -61,9 +72,6 @@ class QuantumBorel(Recipe):
                          twist={0: ring.var(0) * (q ** -1)},
                          twist_inv={0: ring.var(0) * q})
         return Setting(ring, name="quantum-borel", inf_gens=[E], meta={"q": q})
-
-    def operators(self, setting):
-        return [("E", quantum_borel_E(setting))]
 
     def identities(self, setting):
         E = quantum_borel_E(setting)
@@ -93,10 +101,6 @@ class RationalDifferential(Recipe):
         ring = PolyRing(_names("x", self.n), params=ParamField((), nf))
         return _differential_setting(ring, "rational-differential", group)
 
-    def operators(self, setting):
-        return [("d%d" % (v + 1), setting.inf_element(v))
-                for v in range(setting.ring.nvars)]
-
 
 @dataclass(frozen=True)
 class TrigonometricDifferential(Recipe):
@@ -107,19 +111,13 @@ class TrigonometricDifferential(Recipe):
     def build(self):
         n = self.n
         ring = PolyRing(_names("z", n), laurent=(True,) * n, params=ParamField(()))
-        gens, gnames = _monomial_group_gens(self.group, n)
-        elements, names, mult, inv = _enumerate(_int_identity(n), gens, gnames,
-                                                _int_mat_mul)
+        elements, names, mult, inv = _enumerate(_Q, n, *_monomial_group_gens(self.group, n))
         subs, conj = _monomial_subs_and_conj(ring, elements, inv)
         inf_gens = [InfGenerator("th%d" % (v + 1), ring, {v: ring.var(v)})
                     for v in range(n)]
         return Setting(ring, name="trigonometric-differential",
                        group_mult=mult, group_inv=inv, group_subs=subs,
                        group_names=names, inf_gens=inf_gens, conj_table=conj)
-
-    def operators(self, setting):
-        return [("th%d" % (v + 1), setting.inf_element(v))
-                for v in range(setting.ring.nvars)]
 
 
 @dataclass(frozen=True)
@@ -201,30 +199,25 @@ class GKVHecke(Recipe):
         A = _CARTAN[self.cartan]
         n = len(A)
         pf = ParamField(("q",))
-        gnames = ["s%d" % (i + 1) for i in range(n)]
+        # s_i = 1 - u v^T with u = alpha_i, v = e_i on the weight lattice
+        # (multiplicative), and u = e_i, v = column i of A on the coweight
+        # basis (additive)
+        e = [[int(r == i) for r in range(n)] for i in range(n)]
         if self.variant == "multiplicative":
             ring = PolyRing(_names("z", n), laurent=(True,) * n, params=pf)
-            # s_i on the weight lattice: omega_j -> omega_j - delta_ij alpha_i
-            gens = [tuple(tuple(int(r == c) - (A[i][r] if c == i else 0)
-                                for c in range(n)) for r in range(n))
-                    for i in range(n)]
-            elements, names, mult, inv = _enumerate(_int_identity(n), gens, gnames,
-                                                    _int_mat_mul)
-            subs, _ = _monomial_subs_and_conj(ring, elements, inv)
+            uv = [(A[i], e[i]) for i in range(n)]
             u_polys = [ring.monomial(A[i]) for i in range(n)]
             suffix = "mult"
         else:
-            nf = NumberField.rationals()
-            # s_i on the coweight basis: e_c -> e_c - A[c][i] e_i
-            gens = [tuple(tuple(nf.from_int(int(r == c) - (A[c][i] if r == i else 0))
-                                for c in range(n)) for r in range(n))
-                    for i in range(n)]
-            elements, names, mult, inv = _enumerate(
-                _nf_identity(nf, n), gens, gnames, lambda a, b: _nf_mat_mul(nf, a, b))
             ring = PolyRing(_names("x", n), params=pf)
-            subs = _linear_subs(ring, elements, inv)
+            uv = [(e[i], [row[i] for row in A]) for i in range(n)]
             u_polys = [ring.linear(A[i], constant=1) for i in range(n)]
             suffix = "add"
+        gens = [tuple(tuple(_Q.from_int(int(r == c) - u[r] * v[c]) for c in range(n))
+                      for r in range(n)) for u, v in uv]
+        elements, names, mult, inv = _enumerate(_Q, n, gens, _names("s", n))
+        subs = (_monomial_subs_and_conj(ring, elements, inv)[0]
+                if self.variant == "multiplicative" else _linear_subs(ring, elements, inv))
         return Setting(ring, name="gkv-hecke-%s-%s" % (self.cartan, suffix),
                        group_mult=mult, group_inv=inv, group_subs=subs,
                        group_names=names,
@@ -269,9 +262,8 @@ class Cherednik(Recipe):
         # reflections: rank(s - 1) = 1
         scalars = ParamField((), nf)
         refl = [i for i in range(1, len(elements))
-                if linalg.rank([[scalars.from_nf(nf.sub(x, nf.one if r == c else nf.zero))
-                                 for c, x in enumerate(row)]
-                                for r, row in enumerate(elements[i])]) == 1]
+                if linalg.rank([[scalars.from_nf(x) for x in row]
+                                for row in _minus_one(nf, elements[i])]) == 1]
         # conjugacy classes among reflections
         classes = []
         assigned = {}
@@ -294,18 +286,14 @@ class Cherednik(Recipe):
         # per-reflection data: alpha_s, lambda_s, and the class index
         refl_data = []
         for s in refl:
-            minv = elements[inv[s]]
-            c_mat = [[minv[c][r] for c in range(n)] for r in range(n)]  # transpose of inverse
-            col = None
-            for j in range(n):
-                column = [nf.sub(c_mat[r][j], nf.one if r == j else nf.zero) for r in range(n)]
-                if any(nf.is_nonzero(x) for x in column):
-                    col = column
-                    break
+            # alpha_s is the first nonzero row of s^-1 - 1, and
+            # lambda_s = tr(s^-1) - (n - 1) = tr(s^-1 - 1) + 1
+            rows = _minus_one(nf, elements[inv[s]])
+            col = next(row for row in rows if any(nf.is_nonzero(x) for x in row))
             lead = next(x for x in col if nf.is_nonzero(x))
             leadinv = nf.inv(lead)
             alpha_coeffs = [nf.mul(x, leadinv) for x in col]
-            lam = nf.sub(_nf_trace(nf, c_mat), nf.from_int(n - 1))
+            lam = nf.add(_nf_sum(nf, (row[i] for i, row in enumerate(rows))), nf.one)
             if lam == nf.one:
                 raise ValueError("detected reflection with eigenvalue 1")
             refl_data.append({
@@ -345,6 +333,8 @@ def build_setting(recipe):
     """The setting a recipe describes, with ``setting.recipe`` set to it."""
     if not isinstance(recipe, Recipe):
         raise TypeError("unknown recipe %r" % (recipe,))
+    if getattr(recipe, "n", 1) < 1:
+        raise ValueError("n must be positive, not %d" % recipe.n)
     setting = recipe.build()
     setting.recipe = recipe
     return setting
@@ -425,12 +415,36 @@ def quantum_borel_E(setting):
 # -- groups ---------------------------------------------------------------------
 
 
+_Q = NumberField.rationals()
+
+
 def _names(prefix, n):
     return tuple("%s%d" % (prefix, i + 1) for i in range(n))
 
 
-def _enumerate(identity, gens, gen_names, mul):
-    """Closure of the generators; returns (elements, names, mult, inv)."""
+def _nf_sum(nf, xs):
+    total = nf.zero
+    for x in xs:
+        total = nf.add(total, x)
+    return total
+
+
+def _minus_one(nf, mat):
+    """The rows of mat - 1."""
+    return [[nf.sub(x, nf.one) if r == c else x for c, x in enumerate(row)]
+            for r, row in enumerate(mat)]
+
+
+def _enumerate(nf, n, gens, gen_names):
+    """Closure of n x n generator matrices over nf; returns
+    (elements, names, mult, inv)."""
+    def mul(a, b):
+        cols = tuple(zip(*b))
+        return tuple(tuple(_nf_sum(nf, map(nf.mul, row, col)) for col in cols)
+                     for row in a)
+
+    identity = tuple(tuple(nf.one if i == j else nf.zero for j in range(n))
+                     for i in range(n))
     elements = [identity]
     index = {identity: 0}
     names = ["e"]
@@ -455,6 +469,20 @@ def _enumerate(identity, gens, gen_names, mul):
     return elements, names, mult, inv
 
 
+def _permutations(name, n):
+    """Generator matrices over Q and names of ``S<k>``: the adjacent
+    transpositions s1..s(n-1), which requires k = n."""
+    k = int(name[1:])
+    if k != n:
+        raise ValueError("S%d needs exactly %d variables" % (k, k))
+    gens = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        gens.append(tuple(tuple(_Q.one if r == swap.get(c, c) else _Q.zero
+                                for c in range(n)) for r in range(n)))
+    return gens, _names("s", n - 1)
+
+
 def named_group(name, n):
     """(number_field, generator matrices, generator names) for a group name.
 
@@ -463,43 +491,27 @@ def named_group(name, n):
     """
     name = name.strip()
     if name == "trivial":
-        return NumberField.rationals(), [], []
+        return _Q, [], []
     if name.upper().startswith("Z"):
         order = int(name[1:])
-        if order < 2:
-            return NumberField.rationals(), [], []
-        if order == 2:
-            nf = NumberField.rationals()
-            zeta = (Fraction(-1),)
-        else:
-            nf = NumberField.cyclotomic(order)
-            zeta = nf.gen()
+        if order < 1:
+            raise ValueError("Z%d: a cyclic group has positive order" % order)
+        if order == 1:
+            return _Q, [], []
+        nf = _Q if order == 2 else NumberField.cyclotomic(order)
+        zeta = nf.from_int(-1) if order == 2 else nf.gen()
         mat = tuple(tuple(zeta if i == j == 0 else (nf.one if i == j else nf.zero)
                           for j in range(n)) for i in range(n))
         return nf, [mat], ["g"]
     if name.upper().startswith("S"):
-        k = int(name[1:])
-        if k != n:
-            raise ValueError("S%d needs exactly %d variables" % (k, k))
-        nf = NumberField.rationals()
-        gens = []
-        names = []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            mat = tuple(tuple(nf.one if r == perm[c] else nf.zero for c in range(n))
-                        for r in range(n))
-            gens.append(mat)
-            names.append("s%d" % (i + 1))
-        return nf, gens, names
+        return (_Q,) + _permutations(name, n)
     raise ValueError("unknown group name %r" % name)
 
 
 def _linear_group(name, n):
     """(number field, (elements, names, mult, inv)) of a named linear group."""
     nf, gens, gnames = named_group(name, n)
-    return nf, _enumerate(_nf_identity(nf, n), gens, gnames,
-                          lambda a, b: _nf_mat_mul(nf, a, b))
+    return nf, _enumerate(nf, n, gens, gnames)
 
 
 def _linear_subs(ring, elements, inv):
@@ -530,83 +542,29 @@ def _differential_setting(ring, name, group, meta=None):
 
 
 def _monomial_group_gens(name, n):
+    """Generator matrices over Q and names of a named monomial group."""
     name = name.strip()
     if name == "trivial":
         return [], []
     if name == "inversion":
-        return [tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))], ["w"]
+        return [tuple(tuple(_Q.from_int(-1) if i == j else _Q.zero for j in range(n))
+                      for i in range(n))], ["w"]
     if name.upper().startswith("S"):
-        k = int(name[1:])
-        if k != n:
-            raise ValueError("S%d needs exactly %d torus coordinates" % (k, k))
-        gens, names = [], []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            gens.append(tuple(tuple(1 if r == perm[c] else 0 for c in range(n))
-                              for r in range(n)))
-            names.append("s%d" % (i + 1))
-        return gens, names
+        return _permutations(name, n)
     raise ValueError("unknown monomial group %r" % name)
 
 
 def _monomial_subs_and_conj(ring, elements, inv):
-    """Substitutions z_i -> z^(column i of A) and Euler conjugation rows of A^-1."""
+    """Substitutions z_i -> z^(column i of A) and Euler conjugation rows of
+    A^-1, for matrices A over Q with integer entries."""
     pf = ring.params
     n = ring.nvars
-    subs = []
+    subs = [{}]
     conj = {}
-    for i, _ in enumerate(elements):
-        if i == 0:
-            subs.append({})
-            continue
+    for i in range(1, len(elements)):
         a = elements[i]
-        images = {}
-        for v in range(n):
-            col = tuple(a[r][v] for r in range(n))
-            images[v] = ring.monomial(col)
-        subs.append(images)
-        ainv = elements[inv[i]]
-        conj[i] = {g: [(pf.from_fraction(ainv[g][j]), j) for j in range(n) if ainv[g][j]]
-                   for g in range(n)}
+        subs.append({v: ring.monomial(tuple(int(a[r][v][0]) for r in range(n)))
+                     for v in range(n)})
+        conj[i] = {g: [(pf.from_nf(x), j) for j, x in enumerate(row) if _Q.is_nonzero(x)]
+                   for g, row in enumerate(elements[inv[i]])}
     return subs, conj
-
-
-# -- matrices -------------------------------------------------------------------
-
-
-def _int_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _nf_mat_mul(nf, a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            _nf_dot(nf, a[i], [b[k][j] for k in range(n)])
-            for j in range(n))
-        for i in range(n))
-
-
-def _nf_dot(nf, row, col):
-    total = nf.zero
-    for x, y in zip(row, col):
-        total = nf.add(total, nf.mul(x, y))
-    return total
-
-
-def _nf_identity(nf, n):
-    return tuple(tuple(nf.one if i == j else nf.zero for j in range(n)) for i in range(n))
-
-
-def _nf_trace(nf, mat):
-    total = nf.zero
-    for i, row in enumerate(mat):
-        total = nf.add(total, row[i])
-    return total

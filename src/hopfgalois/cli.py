@@ -134,12 +134,17 @@ def parse_recipe(doc):
 def parse_point(setting, coords):
     if coords is None:
         raise UsageError("missing config field: point")
-    nvars = setting.ring.nvars
-    if not isinstance(coords, (list, tuple)) or len(coords) != nvars:
-        raise UsageError("point must be a list of %d coordinates" % nvars)
-    vals = [setting.ring.params.from_fraction(_fraction(c, "point[%d]" % i))
-            for i, c in enumerate(coords)]
-    return PointIdeal(setting.ring, vals)
+    ring = setting.ring
+    if not isinstance(coords, (list, tuple)) or len(coords) != ring.nvars:
+        raise UsageError("point must be a list of %d coordinates" % ring.nvars)
+    vals = []
+    for i, c in enumerate(coords):
+        x = _fraction(c, "point[%d]" % i)
+        if x == 0 and ring.laurent[i]:
+            raise UsageError("point[%d] may not be 0: %s is a Laurent variable"
+                             % (i, ring.names[i]))
+        vals.append(ring.params.from_fraction(x))
+    return PointIdeal(ring, vals)
 
 
 def _int_vector(value, length, path, nonnegative=None):

@@ -76,6 +76,13 @@ def test_verify_malformed_config(tmp_path, capsys):
                                "group": "Q7"}}, "Q7"),
         ("verify", {"recipe": {"kind": "cherednik", "n": 2, "group": "S3"}},
          "S3"),
+        ("verify", {"recipe": {"kind": "rational-differential", "n": 1,
+                               "group": "Z0"}}, "Z0"),
+        ("verify", {"recipe": {"kind": "cherednik", "n": 1, "group": "Z-3"}},
+         "Z-3"),
+        ("verify", {"recipe": {"kind": "shift-flag", "n": -1}}, "n must be positive"),
+        ("verify", {"recipe": {"kind": "rational-differential", "n": 0}},
+         "n must be positive"),
         ("stabilizer", {"recipe": flag, "point": ["1"]}, "point"),
         ("stabilizer", {"recipe": flag, "point": ["1", "x"]}, "point[1]"),
         ("verify", {"recipe": {"kind": "ore", "p": [1]}, "extra_generators": [
@@ -102,6 +109,10 @@ def test_verify_malformed_config(tmp_path, capsys):
                   "extra_generators[0]"))
     cases.append(("module", {"recipe": ore, "point": ["0"], "extra_generators": [
         {"name": 5, "terms": [{"inf": [1]}]}]}, "extra_generators[0].name"))
+    # a zero coordinate at a Laurent variable
+    cases.append(("module", {"recipe": {"kind": "trigonometric-differential", "n": 1,
+                                        "group": "inversion"}, "point": ["0"]},
+                  "point[0] may not be 0"))
     # a point where a generator has a pole (the Dunkl term c/x1 at 0)
     cases.append(("module", {"recipe": {"kind": "cherednik", "n": 1, "group": "Z2"},
                              "point": ["0"]}, "generator D1 has a pole at (0)"))

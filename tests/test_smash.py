@@ -251,6 +251,16 @@ def test_shift_part_not_invertible_in_unsigned_monoid():
         tau.conjugate_by(S.gp(0, (1,)))
 
 
+def test_validate_checks_every_group_pair():
+    # S4 has 576 pairs; break one far from both ends of the table
+    S = build_setting(RationalDifferential(4, "S4"))
+    i, j = 11, 13
+    assert S.group_inv[i] != j and S.group_mult[i][j] != 1
+    S.group_mult[i][j] = 1
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        S.validate()
+
+
 def test_cross_setting_operations_rejected():
     A = build_setting(OreFamily((1,)))
     B = build_setting(OreFamily((0, 1)))
