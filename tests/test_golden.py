@@ -24,9 +24,11 @@ CASES = {
     "cherednik-s2-spherical": ("spherical", [], 0),
     "rational-differential-z3-module": ("module", ["--allow-truncation"], 0),
     "trigonometric-inversion-verify": ("verify", [], 0),
+    "trigonometric-inversion-module": ("module", ["--allow-truncation"], 0),
     "shift-flag-s2-stabilizer": ("stabilizer", [], 0),
     "shift-flag-s2-module": ("module", ["--allow-truncation"], 0),
     "gkv-hecke-a1-verify": ("verify", [], 0),
+    "gkv-hecke-a1-module": ("module", [], 0),
     "ore-verify": ("verify", [], 0),
     "ore-module": ("module", [], 0),
     "gkv-hecke-a1-additive-verify": ("verify", [], 0),
