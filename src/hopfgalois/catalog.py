@@ -469,12 +469,26 @@ def _enumerate(nf, n, gens, gen_names):
     return elements, names, mult, inv
 
 
+class GroupNameError(ValueError):
+    """A group name that names no group the catalog can build here."""
+
+
+def _group_size(name):
+    """The l of ``Z<l>`` or the k of ``S<k>``, a positive integer."""
+    digits = name[1:]
+    if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+        raise GroupNameError("%r: %s must be followed by a positive integer"
+                             % (name, name[0]))
+    return int(digits)
+
+
 def _permutations(name, n):
     """Generator matrices over Q and names of ``S<k>``: the adjacent
     transpositions s1..s(n-1), which requires k = n."""
-    k = int(name[1:])
+    k = _group_size(name)
     if k != n:
-        raise ValueError("S%d needs exactly %d variables" % (k, k))
+        raise GroupNameError("%r permutes %d variables, but the recipe has n = %d"
+                             % (name, k, n))
     gens = []
     for i in range(n - 1):
         swap = {i: i + 1, i + 1: i}
@@ -493,9 +507,7 @@ def named_group(name, n):
     if name == "trivial":
         return _Q, [], []
     if name.upper().startswith("Z"):
-        order = int(name[1:])
-        if order < 1:
-            raise ValueError("Z%d: a cyclic group has positive order" % order)
+        order = _group_size(name)
         if order == 1:
             return _Q, [], []
         nf = _Q if order == 2 else NumberField.cyclotomic(order)
@@ -505,7 +517,7 @@ def named_group(name, n):
         return nf, [mat], ["g"]
     if name.upper().startswith("S"):
         return (_Q,) + _permutations(name, n)
-    raise ValueError("unknown group name %r" % name)
+    raise GroupNameError("%r is not trivial, Z<l> or S<k>" % name)
 
 
 def _linear_group(name, n):
@@ -551,7 +563,7 @@ def _monomial_group_gens(name, n):
                       for i in range(n))], ["w"]
     if name.upper().startswith("S"):
         return _permutations(name, n)
-    raise ValueError("unknown monomial group %r" % name)
+    raise GroupNameError("%r is not trivial, inversion or S<k>" % name)
 
 
 def _monomial_subs_and_conj(ring, elements, inv):

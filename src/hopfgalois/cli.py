@@ -236,6 +236,8 @@ def build_from_config(config, args):
     recipe = parse_recipe(_need(config, "recipe", ""))
     try:
         setting = cat.build_setting(recipe)
+    except cat.GroupNameError as exc:
+        raise UsageError("recipe.group %s" % exc)
     except ValueError as exc:
         # the catalog rejects what it cannot build: a group name, a rank
         raise UsageError("recipe: %s" % exc)

@@ -9,6 +9,11 @@ numerator and denominator live in a single parameter, which keeps the
 q-arithmetic of quantum settings tidy.  That gcd is Euclid's algorithm on
 coefficient lists with :func:`hopfgalois.numberfield.poly_divmod`, which
 also divides numerator and denominator by it.
+
+A sum or product whose operands all have denominator 1 is stored as is,
+without normalization: every parameter exponent is non-negative, so over
+1 there is no common monomial factor, no gcd and no leading coefficient
+to divide by, and normalization would return its input unchanged.
 """
 
 from __future__ import annotations
@@ -219,7 +224,10 @@ class ParamElem:
             return NotImplemented
         nf = self.field.nf
         if self.den == other.den:
-            return ParamElem(self.field, _dict_add(nf, self.num, other.num), dict(self.den))
+            num = _dict_add(nf, self.num, other.num)
+            if self.den == self.field.one.den:
+                return ParamElem(self.field, num, self.den, _normalized=True)
+            return ParamElem(self.field, num, dict(self.den))
         num = _dict_add(nf, _dict_mul(nf, self.num, other.den),
                         _dict_mul(nf, other.num, self.den))
         den = _dict_mul(nf, self.den, other.den)
@@ -245,8 +253,11 @@ class ParamElem:
         if other is NotImplemented:
             return NotImplemented
         nf = self.field.nf
-        return ParamElem(self.field, _dict_mul(nf, self.num, other.num),
-                         _dict_mul(nf, self.den, other.den))
+        num = _dict_mul(nf, self.num, other.num)
+        unit = self.field.one.den
+        if self.den == unit and other.den == unit:
+            return ParamElem(self.field, num, unit, _normalized=True)
+        return ParamElem(self.field, num, _dict_mul(nf, self.den, other.den))
 
     __rmul__ = __mul__
 

@@ -6,8 +6,12 @@ field, so the lattice is (parameter field)[x_1, ..., x_n] with Laurent
 support where flagged.  Membership of a fraction in the lattice is decided
 exactly: after shifting Laurent monomial factors, divisibility of the
 numerator by the denominator is tested with term-ordered long division,
-which is a complete test over a domain.  Equality is always decided by
-cross-multiplication, never by comparing stored representations.
+which is a complete test over a domain.  Equality is decided by
+cross-multiplication, or over equal denominators by comparing the
+numerators, never by comparing stored representations.  A lattice element
+built from a polynomial, and a sum or product of lattice elements, is
+stored without normalization, which over the denominator 1 would change
+nothing.
 
 Substitution images are lattice elements, so substituting into a
 polynomial is polynomial arithmetic; only units (monomials, whose
@@ -124,6 +128,10 @@ class Poly:
 
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and self.ring._zero_exp in self.terms)
+
+    def is_one(self):
+        c = self.terms.get(self.ring._zero_exp)
+        return len(self.terms) == 1 and c is not None and c.is_one()
 
     def leading(self):
         """(exponent, coeff) maximal in graded lex; requires nonzero."""
@@ -301,13 +309,16 @@ def try_divide(num, den):
 
 
 class RatFunc:
-    """A fraction of polynomials, normalized but compared by cross-multiplication."""
+    """A fraction of polynomials, normalized but compared by cross-multiplication;
+    over equal denominators, equality compares the numerators."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
+            # a lattice element: normalising over 1 changes nothing
             den = num.ring.one
+            _normalized = True
         if _normalized:
             self.num = num
             self.den = den
@@ -365,7 +376,7 @@ class RatFunc:
 
     def is_in_lattice(self):
         """True iff the value lies in the (Laurent) polynomial lattice."""
-        return self.den == self.ring.one
+        return self.den.is_one()
 
     def as_poly(self):
         if not self.is_in_lattice():
@@ -388,6 +399,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc(self.num + other.num, self.den, _normalized=True)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -410,6 +423,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc(self.num * other.num, self.den, _normalized=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -437,6 +452,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
     # -- operations ---------------------------------------------------------------
@@ -452,7 +469,7 @@ class RatFunc:
         return self.num.evaluate(point) / dv
 
     def __str__(self):
-        if self.den == self.ring.one:
+        if self.den.is_one():
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 

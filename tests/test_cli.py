@@ -88,6 +88,14 @@ def test_verify_malformed_config(tmp_path, capsys):
         ("verify", {"recipe": {"kind": "ore", "p": [1]}, "extra_generators": [
             {"terms": [{"scalar": "x", "inf": [1]}]}]}, "scalar"),
     ]
+    # group names that do not parse, in the linear and the monomial path
+    trig = {"kind": "trigonometric-differential", "n": 1}
+    rd = {"kind": "rational-differential", "n": 1}
+    for recipe, group in [(rd, "Zabc"), (rd, "Z"), (rd, "Sabc"), (rd, "S0"),
+                          (rd, "S-2"), (trig, "Zabc"), (trig, "Sabc"),
+                          (trig, "S0"), (trig, "S-2"), (trig, "S3")]:
+        cases.append(("verify", {"recipe": dict(recipe, group=group)},
+                      "recipe.group %r" % group))
     # extra generator terms whose parts do not fit the setting
     ore = {"kind": "ore", "p": [1]}
     s2 = {"kind": "rational-differential", "n": 2, "group": "S2"}

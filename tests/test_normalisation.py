@@ -1,0 +1,193 @@
+"""Normalisation of parameter fractions and rational functions.
+
+A ``ParamElem`` or ``RatFunc`` whose operands both have denominator 1
+stores its product and sum without normalising them, because
+normalisation would return them unchanged.  The guard below makes
+normalisation raise and checks that such arithmetic still runs; the
+hypothesis properties compare ``+``, ``-``, ``*``, ``/`` and ``==`` with
+sympy's rational function field, whose elements are kept cancelled as
+``sympy.cancel`` leaves them, on operands with unit and non-unit
+denominators, and
+check that every stored unit-denominator result is, item for item and in
+order, what the full normalisation returns.  sympy is used in tests only.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.fields import field
+
+from hopfgalois.params import ParamElem, ParamField, _dict_add, _dict_mul
+from hopfgalois.polyring import PolyRing, RatFunc
+
+
+def _refuse(*args):
+    raise AssertionError("normalised a unit-denominator result")
+
+
+def test_unit_denominators_skip_normalisation(monkeypatch):
+    cases = []
+    for names in [(), ("q",), ("q", "t")]:
+        pf = ParamField(names)
+        gens = [pf.param(n) for n in names]
+        a = sum(gens, pf.from_fraction(Fraction(1, 2)))
+        b = pf.from_int(3) if not gens else gens[0] * gens[-1] - 2
+        cases.append((a, b, a * b, a + b, a - b))
+        R = PolyRing(("x", "z"), laurent=(False, True), params=pf)
+        x, z = R.var(0), R.var(1)
+        f = RatFunc.of(x * a + z ** -1)
+        g = RatFunc.of(z ** 2 * b - x)
+        cases.append((f, g, f * g, f + g, f - g))
+        cases.append((f, f, f * f, f + f, f - f))
+    monkeypatch.setattr(ParamElem, "_normalize", staticmethod(_refuse))
+    monkeypatch.setattr(RatFunc, "_cancel_monomials", staticmethod(_refuse))
+    for a, b, prod, total, diff in cases:
+        assert a * b == prod and b * a == prod
+        assert a + b == total and b + a == total
+        assert a - b == diff
+        assert a == a and (a == b) == (a is b)
+        assert a * 2 == a + a
+    monkeypatch.undo()
+
+
+def test_other_denominators_are_still_reduced():
+    pf = ParamField(("q",))
+    one = pf.nf.one
+    e = ParamElem(pf, {(2,): one, (0,): pf.nf.from_int(-1)},
+                  {(1,): one, (0,): pf.nf.from_int(-1)})
+    assert e.num == {(1,): one, (0,): one} and e.den == {(0,): one}
+    R = PolyRing(("x",), params=pf)
+    x = R.var(0)
+    r = RatFunc(x ** 2 - 1, x - 1)
+    assert r.num.terms == (x + 1).terms and r.den.terms == R.one.terms
+
+
+# -- hypothesis properties against sympy ------------------------------------
+
+# sympy's rational function field over QQ keeps every element cancelled,
+# as sympy.cancel does, so == there is equality of values.
+PK, P_Q, P_T = field("q,t", QQ)
+RK, R_X, R_Z, R_Q = field("x,z,q", QQ)
+
+PF = ParamField(("q", "t"))
+NF = PF.nf
+
+coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))
+
+
+def param_dicts(nparams, min_size, max_size=3):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nparams),
+                           coeffs.map(NF.from_fraction),
+                           min_size=min_size, max_size=max_size)
+
+
+def unit(field):
+    return {field._zero_exp: field.nf.one}
+
+
+unit_params = param_dicts(2, 0).map(lambda num: ParamElem(PF, num, unit(PF)))
+other_params = st.builds(lambda num, den: ParamElem(PF, num, den),
+                         param_dicts(2, 0), param_dicts(2, 1))
+params = st.one_of(unit_params, other_params)
+
+
+def oracle_poly(d, gens, one):
+    out = 0 * one
+    for e, (c,) in d.items():
+        term = one * QQ(c.numerator, c.denominator)
+        for g, k in zip(gens, e):
+            term *= g ** k
+        out += term
+    return out
+
+
+def param_oracle(c, gens=(P_Q, P_T), one=PK.one):
+    return oracle_poly(c.num, gens, one) / oracle_poly(c.den, gens, one)
+
+
+def items(c):
+    return list(c.num.items()), list(c.den.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(params, params)
+def test_param_arithmetic_matches_sympy(a, b):
+    sa, sb = param_oracle(a), param_oracle(b)
+    assert param_oracle(a + b) == sa + sb
+    assert param_oracle(a - b) == sa - sb
+    assert param_oracle(a * b) == sa * sb
+    if not b.is_zero():
+        assert param_oracle(a / b) == sa / sb
+    assert (a == b) == (sa == sb)
+    # the same value written over a common factor
+    g = {(1, 0): NF.one, (0, 1): NF.from_int(2)}
+    assert a == ParamElem(PF, _dict_mul(NF, a.num, g), _dict_mul(NF, a.den, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_params, unit_params)
+def test_unit_param_results_are_stored_normalised(a, b):
+    assert items(a * b) == items(ParamElem(PF, _dict_mul(NF, a.num, b.num),
+                                           _dict_mul(NF, a.den, b.den)))
+    assert items(a + b) == items(ParamElem(PF, _dict_add(NF, a.num, b.num), dict(a.den)))
+    assert items(a - b) == items(ParamElem(PF, _dict_add(NF, a.num, (-b).num), dict(a.den)))
+
+
+# x plain, z Laurent, coefficients in one parameter q
+RPF = ParamField(("q",))
+R = PolyRing(("x", "z"), laurent=(False, True), params=RPF)
+
+small_params = st.builds(
+    lambda num, den: ParamElem(RPF, num, den),
+    param_dicts(1, 1, 2), st.one_of(st.just(unit(RPF)), param_dicts(1, 1, 2)))
+
+
+def polys(min_size):
+    return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-1, 1)),
+                           small_params, min_size=min_size, max_size=3).map(
+        lambda terms: sum((R.monomial(e, c) for e, c in terms.items()), R.zero))
+
+
+unit_ratfuncs = polys(0).map(RatFunc)
+other_ratfuncs = st.builds(RatFunc, polys(0), polys(1))
+ratfuncs = st.one_of(unit_ratfuncs, other_ratfuncs)
+
+
+def poly_oracle(p):
+    out = RK.zero
+    for (i, j), c in p.terms.items():
+        out += param_oracle(c, (R_Q,), RK.one) * R_X ** i * R_Z ** j
+    return out
+
+
+def rat_oracle(r):
+    return poly_oracle(r.num) / poly_oracle(r.den)
+
+
+def rat_items(r):
+    return [[(e, items(c)) for e, c in p.terms.items()] for p in (r.num, r.den)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfuncs, ratfuncs)
+def test_ratfunc_arithmetic_matches_sympy(a, b):
+    sa, sb = rat_oracle(a), rat_oracle(b)
+    assert rat_oracle(a + b) == sa + sb
+    assert rat_oracle(a - b) == sa - sb
+    assert rat_oracle(a * b) == sa * sb
+    if not b.is_zero():
+        assert rat_oracle(a / b) == sa / sb
+    assert (a == b) == (sa == sb)
+    # the same value written over a common factor
+    g = R.var(0) + 1
+    assert a == RatFunc(a.num * g, a.den * g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_ratfuncs, unit_ratfuncs)
+def test_unit_ratfunc_results_are_stored_normalised(a, b):
+    assert rat_items(a * b) == rat_items(RatFunc(a.num * b.num, a.den * b.den))
+    assert rat_items(a + b) == rat_items(RatFunc(a.num + b.num, a.den))
+    assert rat_items(a - b) == rat_items(RatFunc(a.num + (-b).num, a.den))
+    assert rat_items(RatFunc(a.num)) == rat_items(RatFunc(a.num, R.one))
