@@ -239,7 +239,7 @@ def build_from_config(config, args):
     except cat.GroupNameError as exc:
         raise UsageError("recipe.group %s" % exc)
     except ValueError as exc:
-        # the catalog rejects what it cannot build: a group name, a rank
+        # the catalog rejects what else it cannot build: a rank, a Cartan type
         raise UsageError("recipe: %s" % exc)
     setting.validate()
     gens = cat.standard_generators(setting)
