@@ -179,3 +179,95 @@ def test_sums_print_as_pinned(case, expected):
 ])
 def test_number_field_elements_print_as_pinned(coeffs, expected):
     assert K5.to_str(K5.element(coeffs)) == expected
+
+
+# -- the operators of every exact value type ------------------------------------
+# Each operator is compared with the value built from +, unary -, * and inverse.
+
+def _field_elements():
+    ring = PolyRing(("x", "y"), params=ParamField(("q",)))
+    x, y = ring.var(0), ring.var(1)
+    q = ring.params.param("q")
+    return {"param": (q * q + 2 * q - 1) * (q + 3).inverse(),
+            "ratfunc": RatFunc(x * q + y, y * y - x)}
+
+
+@pytest.mark.parametrize("name", ["param", "ratfunc"])
+def test_field_subtraction_division_and_powers(name):
+    x = _field_elements()[name]
+    inv = x.inverse()
+    assert 1 - x == -x + 1
+    assert x - 1 == x + -1
+    assert x - x == 0
+    assert 1 / x == inv
+    assert x / x == 1
+    assert x ** -2 == inv * inv
+    assert x ** 3 == x * x * x
+
+
+def _poly_and_ratfunc():
+    ring = PolyRing(("x", "y"), params=ParamField(("q",)))
+    x, y = ring.var(0), ring.var(1)
+    q = ring.params.param("q")
+    p, p2 = x * q + y - 1, x * x - y
+    return p, p2, RatFunc(x + q, y * y - x)
+
+
+def test_poly_meets_ratfunc():
+    p, p2, r = _poly_and_ratfunc()
+    rp = RatFunc.of(p)
+    cases = {"p + r": (p + r, rp + r), "r + p": (r + p, r + rp),
+             "p - r": (p - r, rp + -r), "r - p": (r - p, r + -rp),
+             "p * r": (p * r, rp * r), "p / p2": (p / p2, rp * RatFunc.of(p2).inverse())}
+    for case, (got, expected) in cases.items():
+        assert isinstance(got, RatFunc), case
+        assert got == expected, case
+    assert p == RatFunc(p * p2, p2) and RatFunc(p * p2, p2) == p
+    assert not p == r and p != r
+
+
+def _smash_and_coefficients():
+    S = build_setting(QuantumBorel())
+    ring = S.ring
+    t, q = ring.var(0), ring.params.param("q")
+    E = S.inf_by_name("E") + S.from_ratfunc(t)
+    return S, E, {"ratfunc": RatFunc(t + q, t - 1), "poly": q * t * t + 1,
+                  "int": 3, "param": q + 1}
+
+
+SMASH_CASES = {
+    "S - f": (lambda E, f: E - f, lambda E, F: E + -F),
+    "f - S": (lambda E, f: f - E, lambda E, F: F + -E),
+    "f + S": (lambda E, f: f + E, lambda E, F: F + E),
+    "2 * S": (lambda E, f: 2 * E, lambda E, F: E.setting.from_const(2) * E),
+    "S * f": (lambda E, f: E * f, lambda E, F: E * F),
+    "f * S": (lambda E, f: f * E, lambda E, F: F * E),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMASH_CASES))
+@pytest.mark.parametrize("kind", ["ratfunc", "poly", "int", "param"])
+def test_smash_element_meets_a_coefficient(kind, case):
+    S, E, coeffs = _smash_and_coefficients()
+    f = coeffs[kind]
+    lifted = S.from_ratfunc(f) if kind in ("ratfunc", "poly") else S.from_const(f)
+    op, built = SMASH_CASES[case]
+    got = op(E, f)
+    assert type(got) is type(E)
+    assert (got + -built(E, lifted)).is_zero()
+
+
+def test_smash_product_does_not_commute_with_coefficients():
+    # so S * f and f * S above are two different cases
+    _, E, coeffs = _smash_and_coefficients()
+    for kind in ("ratfunc", "poly"):
+        f = coeffs[kind]
+        assert not (E * f + -(f * E)).is_zero(), kind
+
+
+def test_smash_element_has_no_division_or_inverse():
+    _, E, _ = _smash_and_coefficients()
+    with pytest.raises(TypeError):
+        E / 2
+    with pytest.raises(ValueError):
+        E ** -1
