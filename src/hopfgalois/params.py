@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numberfield import NumberField, poly_divmod
-from .sparse import grlex, monomial, power, signed_sum
+from .sparse import Field, grlex, monomial, signed_sum
 
 
 def _dict_add(field, a, b):
@@ -108,7 +108,7 @@ class ParamField:
         return "ParamField(%s over %r)" % (", ".join(self.names) or "no params", self.nf)
 
 
-class ParamElem:
+class ParamElem(Field):
     """A fraction of parameter polynomials.  Immutable."""
 
     __slots__ = ("field", "num", "den")
@@ -239,15 +239,6 @@ class ParamElem:
         return ParamElem(self.field, _dict_neg(self.field.nf, self.num), dict(self.den),
                          _normalized=True)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -261,24 +252,10 @@ class ParamElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting zero parameter element")
         return ParamElem(self.field, dict(self.den), dict(self.num))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, self.field.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -23,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import ParamElem, ParamField
-from .sparse import add_into, add_terms, grlex, monomial, mul_terms, power, signed_sum
+from .sparse import (Field, Ring, add_into, add_terms, grlex, monomial, mul_terms, power,
+                     signed_sum)
 
 
 class PolyRing:
@@ -104,7 +105,7 @@ class PolyRing:
         return "PolyRing(%s; %r)" % (vs, self.params)
 
 
-class Poly:
+class Poly(Ring):
     """Sparse polynomial; zero coefficients are never stored (see ``sparse``)."""
 
     __slots__ = ("ring", "terms")
@@ -143,25 +144,19 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce_scalar(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.ring.params.from_fraction(other)
-        if isinstance(other, ParamElem):
+    def _coerce(self, other):
+        if isinstance(other, Poly):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError("variable registry mismatch between polynomials")
             return other
-        return None
-
-    def _check_ring(self, other):
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError("variable registry mismatch between polynomials")
+        if isinstance(other, (int, Fraction, ParamElem)):
+            return self.ring.const(other)
+        return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, RatFunc):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        c = self._coerce_scalar(other)
-        if c is not None:
-            other = self.ring.const(c)
-        else:
-            self._check_ring(other)
         return Poly(self.ring, add_terms(self.terms, other.terms), _clean=True)
 
     __radd__ = __add__
@@ -169,26 +164,18 @@ class Poly:
     def __neg__(self):
         return Poly(self.ring, {e: -v for e, v in self.terms.items()}, _clean=True)
 
-    def __sub__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
-        c = self._coerce_scalar(other)
-        if c is not None:
-            other = self.ring.const(c)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
-        c = self._coerce_scalar(other)
-        if c is not None:
-            if c.is_zero():
+        if isinstance(other, (int, Fraction)):
+            other = self.ring.params.from_fraction(other)
+        if isinstance(other, ParamElem):
+            # a scalar scales each coefficient
+            if other.is_zero():
                 return self.ring.zero
-            return Poly(self.ring, {e: v * c for e, v in self.terms.items()}, _clean=True)
-        self._check_ring(other)
+            return Poly(self.ring, {e: v * other for e, v in self.terms.items()},
+                        _clean=True)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return Poly(self.ring, mul_terms(self.terms, other.terms), _clean=True)
 
     __rmul__ = __mul__
@@ -206,14 +193,9 @@ class Poly:
         return RatFunc.of(self) / other
 
     def __eq__(self, other):
-        if isinstance(other, RatFunc):
-            return other == self
-        c = self._coerce_scalar(other)
-        if c is not None:
-            other = self.ring.const(c)
-        if not isinstance(other, Poly):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check_ring(other)
         return self.terms == other.terms
 
     # -- operations -----------------------------------------------------------
@@ -308,7 +290,7 @@ def try_divide(num, den):
     return Poly(ring, quo).shift_monomial(back)
 
 
-class RatFunc:
+class RatFunc(Field):
     """A fraction of polynomials, normalized but compared by cross-multiplication;
     over equal denominators, equality compares the numerators."""
 
@@ -410,15 +392,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den, _normalized=True)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -429,24 +402,10 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting the zero rational function")
         return RatFunc(self.den, self.num)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, RatFunc(self.ring.one))
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .params import ParamElem
 from .polyring import Poly, RatFunc
-from .sparse import add_into, add_terms, mul_terms, power
+from .sparse import Ring, add_into, add_terms, mul_terms, power
 
 
 class GroupPart(NamedTuple):
@@ -333,7 +333,7 @@ class Setting:
         return "Setting(%s)" % self.name
 
 
-class SmashElement:
+class SmashElement(Ring):
     """A finite sum of coefficient * group part * infinitesimal monomial.
 
     ``terms`` maps (group part, alpha) to a nonzero RatFunc; zero
@@ -379,15 +379,6 @@ class SmashElement:
     def __neg__(self):
         return SmashElement(self.setting, {k: -v for k, v in self.terms.items()},
                             _clean=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, value):
         """Left multiplication by a coefficient (an element of L)."""

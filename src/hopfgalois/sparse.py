@@ -21,6 +21,17 @@ The loops are written out in ``add_terms`` and ``mul_terms`` rather than
 calling ``add_into`` per term: ``Poly.__mul__`` runs through here millions
 of times.
 
+Operators.  ``Ring`` and ``Field`` define the operators that follow from
+the others once, for ``ParamElem``, ``Poly``, ``RatFunc`` and
+``SmashElement``.  A subclass supplies ``+``, unary ``-``, ``*``, ``==``
+and ``_coerce(other)``, which lifts an operand of a type it knows into the
+subclass and returns ``NotImplemented`` for any other, so that Python
+hands a mixed expression such as ``poly - smash`` to the other operand's
+reflected operator.  ``Ring`` adds ``a - b = a + (-b)`` and ``b - a =
+(-a) + b``; ``Field`` adds ``a / b = a * b.inverse()``, ``b / a =
+a.inverse() * b`` and ``a ** n``, with a negative ``n`` through
+``inverse``.
+
 Printing.  Parameter polynomials, main-variable polynomials and
 number-field elements all print as a signed sum of ``coeff*monomial``
 terms in the order the caller gives (``grlex`` descending, or by power):
@@ -92,6 +103,41 @@ def power(base, n, one):
         if n:
             base = base * base
     return out
+
+
+class Ring:
+    """Subtraction from ``+``, unary ``-`` and the subclass's ``_coerce``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class Field(Ring):
+    """Division and integer powers from ``*`` and ``inverse``."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return power(self, n, self._coerce(1))
 
 
 def grlex(exps):
