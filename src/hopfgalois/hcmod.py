@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from . import linalg
 from .polyring import Jet, RatFunc, taylor_jet
-from .sparse import add_into, add_terms
+from .sparse import add_into, add_terms, factor, monomial, signed_sum
 from .stabilizer import PointIdeal, full_group_span, stab_group
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
@@ -102,14 +102,15 @@ class DistributionVector:
         return (self - other).is_zero()
 
     def __str__(self):
-        if not self.entries:
-            return "0"
-        bits = []
+        """``c*delta[(p);x^a]``: c times the coefficient of h^a in the jet at p."""
+        terms = []
         for p, tab in self.entries:
-            plabel = "(" + ",".join(str(c) for c in p) + ")"
+            plabel = ",".join(str(c) for c in p)
             for a in sorted(tab):
-                bits.append("%s*delta[%s;%s]" % (tab[a], plabel, a))
-        return " + ".join(bits)
+                index = monomial(self.ring.names, a)
+                terms.append((factor(str(tab[a])),
+                              "delta[(%s)%s]" % (plabel, ";" + index if index else "")))
+        return signed_sum(terms)
 
 
 def distribution_action(element, xi, jet_order):

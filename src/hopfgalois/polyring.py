@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import ParamElem, ParamField
-from .sparse import (Field, Ring, add_into, add_terms, grlex, monomial, mul_terms, power,
-                     signed_sum)
+from .sparse import (Field, Ring, add_into, add_terms, factor, grlex, monomial, mul_terms,
+                     power, signed_sum)
 
 
 class PolyRing:
@@ -242,13 +242,8 @@ class Poly(Ring):
         return tuple(min(e[i] for e in self.terms) for i in range(self.ring.nvars))
 
     def __str__(self):
-        terms = []
-        for e, c in self.sorted_terms():
-            cs = str(c)
-            if "/" in cs or " " in cs:
-                cs = "(%s)" % cs
-            terms.append((cs, monomial(self.ring.names, e)))
-        return signed_sum(terms)
+        return signed_sum((factor(str(c)), monomial(self.ring.names, e))
+                          for e, c in self.sorted_terms())
 
     def __repr__(self):
         return "Poly(%s)" % self

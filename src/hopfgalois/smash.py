@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .params import ParamElem
 from .polyring import Poly, RatFunc
-from .sparse import Ring, add_into, add_terms, mul_terms, power
+from .sparse import (Ring, add_into, add_terms, factor, monomial, mul_terms, power,
+                     signed_sum)
 
 
 class GroupPart(NamedTuple):
@@ -515,26 +516,14 @@ class SmashElement(Ring):
         return left * self * right
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         S = self.setting
-        parts = []
+        names = [gen.name for gen in S.inf_gens]
+        terms = []
         for (g, alpha), c in self.sorted_terms():
-            bits = []
-            cs = str(c)
-            if "+" in cs or "-" in cs[1:] or "/" in cs:
-                cs = "(%s)" % cs
-            if cs != "1" or (S.gp_is_identity(g) and not any(alpha)):
-                bits.append(cs)
-            if not S.gp_is_identity(g):
-                bits.append(S.gp_name(g))
-            for j, x in enumerate(alpha):
-                if x == 1:
-                    bits.append(S.inf_gens[j].name)
-                elif x > 1:
-                    bits.append("%s^%d" % (S.inf_gens[j].name, x))
-            parts.append("*".join(bits))
-        return " + ".join(parts)
+            gp = "" if S.gp_is_identity(g) else S.gp_name(g)
+            mono = "*".join(m for m in (gp, monomial(names, alpha)) if m)
+            terms.append((factor(str(c)), mono))
+        return signed_sum(terms)
 
     def __repr__(self):
         return "SmashElement(%s)" % self

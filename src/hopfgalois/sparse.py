@@ -150,6 +150,11 @@ def monomial(names, exps):
     return "*".join(n if x == 1 else "%s^%d" % (n, x) for n, x in zip(names, exps) if x)
 
 
+def factor(text):
+    """A coefficient string as a factor: bracketed if it is a sum or a fraction."""
+    return "(%s)" % text if "/" in text or " " in text else text
+
+
 def signed_sum(terms):
     """Print (coefficient string, monomial string) pairs as a sum.
 

@@ -271,3 +271,23 @@ def test_smash_element_has_no_division_or_inverse():
         E / 2
     with pytest.raises(ValueError):
         E ** -1
+
+
+def test_smash_elements_and_distributions_print_as_signed_sums():
+    from hopfgalois.hcmod import DistributionVector
+    S = build_setting(QuantumBorel())
+    E, t = S.inf_by_name("E"), S.from_ratfunc(S.ring.var(0))
+    assert str(1 - E) == "1 - E"
+    assert str(E * t) == "1 + (((1)/(q))*t)*E"
+    assert str(E * E * t - 3 * t * t * E) == "(-3*t^2 + ((q + 1)/(q)))*E + (((1)/(q^2))*t)*E^2"
+    assert str(S.zero()) == "0"
+    S2 = build_setting(RationalDifferential(2, "S2"))
+    x1, x2 = S2.ring.var(0), S2.ring.var(1)
+    X = (S2.group_element(1) * S2.from_ratfunc(x1) - S2.inf_element(0, 2) * S2.inf_element(1)
+         + RatFunc(x1 + 1, x2))
+    assert str(X) == "((x1 + 1)/(x2)) - d1^2*d2 + x2*s1"
+    ring = S2.ring
+    xi = (DistributionVector.evaluation(ring, (c(1), c(0)))
+          - DistributionVector.derivative_delta(ring, (c(1), c(2)), (2, 1)))
+    assert str(xi) == "delta[(1,0)] - 2*delta[(1,2);x1^2*x2]"
+    assert str(DistributionVector(ring)) == "0"
