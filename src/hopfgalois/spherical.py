@@ -148,9 +148,8 @@ def morita_witness(presentation, word_length):
     for kidx, key in enumerate(keys):
         coeffs = [p.terms.get(key, zero_rf) for _, _, p in products]
         tcoeff = target.terms.get(key, zero_rf)
-        den_all = _common_denominator(coeffs + [tcoeff])
-        if den_all is None:
-            continue
+        # every key has a nonzero coefficient, so den_all is a product of them
+        den_all = _common_denominator(ring, coeffs + [tcoeff])
         for idx, c in enumerate(coeffs):
             if c.is_zero():
                 continue
@@ -192,17 +191,12 @@ def morita_witness(presentation, word_length):
                    "centralizer")
 
 
-def _common_denominator(rfs):
-    ring = None
+def _common_denominator(ring, rfs):
+    """The product of the distinct denominators of the nonzero ``rfs``."""
     dens = []
     for c in rfs:
-        if c.is_zero():
-            continue
-        ring = c.ring
-        if not any(c.den == d for d in dens):
+        if not c.is_zero() and not any(c.den == d for d in dens):
             dens.append(c.den)
-    if ring is None:
-        return None
     total = ring.one
     for d in dens:
         total = total * d
@@ -213,7 +207,5 @@ def _clear(rf, den_all):
     if den_all.is_constant():
         # every denominator divides a constant, so each is already 1
         return rf.num
-    q = try_divide(den_all, rf.den)
-    if q is None:
-        return (rf * RatFunc.of(den_all)).as_poly()
-    return rf.num * q
+    # rf.den is one factor of den_all, so the division is exact
+    return rf.num * try_divide(den_all, rf.den)

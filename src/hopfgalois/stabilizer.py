@@ -146,8 +146,6 @@ def find_reductor(span, point):
         if setting.gp_is_identity(g) or fixes_point(setting, g, point):
             return None
         a = _separating_element(setting, g, point)
-        if a is None:
-            return None
         ga = setting.gp_act(g, a)
         rg = Reductor([(ring.one, a), (-ga, ring.one)])
         result = rg if result is None else result.product(rg)
@@ -155,19 +153,11 @@ def find_reductor(span, point):
 
 
 def _separating_element(setting, g, point):
+    """A variable x with x(p) != (g |> x)(p), for a g that moves the point."""
+    # point maps compose, psi_{g^-1} o psi_g = id: if g^-1 moves p, g moves a coordinate
     ring = setting.ring
-    for v in range(ring.nvars):
-        a = ring.var(v)
-        if point.evaluate(a) != point.evaluate(setting.gp_act(g, a)):
-            return a
-    # coordinates agree on all variables: scan degree-2 monomials as a fallback
-    for exps in ring.monomials_up_to(2, include_negative=True):
-        if not any(exps):
-            continue
-        a = ring.monomial(exps)
-        if point.evaluate(a) != point.evaluate(setting.gp_act(g, a)):
-            return a
-    return None
+    return next(a for a in map(ring.var, range(ring.nvars))
+                if point.evaluate(a) != point.evaluate(setting.gp_act(g, a)))
 
 
 def full_group_span(setting, monoid_window=0):

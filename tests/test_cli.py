@@ -61,6 +61,20 @@ def test_verify_injected_counterexample(tmp_path):
     assert bad and bad[0]["witness"]["operator"] == "Y"
 
 
+def test_lattice_splitting_fails_off_the_lattice(tmp_path):
+    # the operator 1/t sends 1 out of the lattice k[t]
+    cfg = write_config(tmp_path, {
+        "recipe": {"kind": "ore", "p": [1]}, "checks": ["split-maxcomm"],
+        "extra_generators": [{"name": "Y", "terms": [{"den_exps": [1]}]}],
+    })
+    out = tmp_path / "report.json"
+    assert main(["verify", cfg, "--out", str(out)]) == 1
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["check"] == "lattice-splitting"]
+    assert check["status"] == "counterexample"
+    assert check["witness"] == {"generator": "Y", "X(1)": "(1)/(t)"}
+
+
 def test_verify_malformed_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"recipe": {"n": 2}})
     assert main(["verify", cfg]) == 2
