@@ -97,6 +97,18 @@ def test_verify_malformed_config(tmp_path, capsys):
         ("verify", {"recipe": {"kind": "shift-flag", "n": -1}}, "n must be positive"),
         ("verify", {"recipe": {"kind": "rational-differential", "n": 0}},
          "n must be positive"),
+        ("verify", {"recipe": {"kind": "nope"}}, "unknown recipe.kind 'nope'"),
+        ("stabilizer", {"recipe": flag}, "missing config field: point"),
+        ("verify", {"recipe": {"kind": "ore", "p": [1]}, "extra_generators": [
+            {"terms": 5}]}, "extra_generators[0].terms must be a list"),
+        ("verify", {"recipe": {"kind": "ore", "p": [1]}, "bounds": {"degree": 0}},
+         "bounds.degree must be positive"),
+        ("verify", {"recipe": dict(flag, group="Z3")},
+         "does not normalize the shift monoid"),
+        ("verify", {"recipe": {"kind": "gkv-hecke", "cartan": "B2"}},
+         "unsupported Cartan type 'B2'"),
+        ("verify", {"recipe": {"kind": "gkv-hecke", "variant": "x"}},
+         "variant must be multiplicative or additive"),
         ("stabilizer", {"recipe": flag, "point": ["1"]}, "point"),
         ("stabilizer", {"recipe": flag, "point": ["1", "x"]}, "point[1]"),
         ("verify", {"recipe": {"kind": "ore", "p": [1]}, "extra_generators": [
@@ -107,7 +119,9 @@ def test_verify_malformed_config(tmp_path, capsys):
     rd = {"kind": "rational-differential", "n": 1}
     for recipe, group in [(rd, "Zabc"), (rd, "Z"), (rd, "Sabc"), (rd, "S0"),
                           (rd, "S-2"), (trig, "Zabc"), (trig, "Sabc"),
-                          (trig, "S0"), (trig, "S-2"), (trig, "S3")]:
+                          (trig, "S0"), (trig, "S-2"), (trig, "S3"),
+                          # more than 24 elements, rejected before they are built
+                          (rd, "Z25"), (dict(rd, n=5), "S5")]:
         cases.append(("verify", {"recipe": dict(recipe, group=group)},
                       "recipe.group %r" % group))
     # extra generator terms whose parts do not fit the setting
@@ -184,6 +198,14 @@ def test_verify_malformed_config(tmp_path, capsys):
     for i, (command, doc, needle) in enumerate(cases):
         cfg = write_config(tmp_path, doc, "bad%d.json" % i)
         assert main([command, cfg]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and needle in err, err
+    # files that are not a JSON object
+    for text, needle in [('{"recipe": ', "config is not valid JSON"),
+                         ("[1]", "config must be a JSON object")]:
+        path = tmp_path / "raw.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2, text
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and needle in err, err
 
