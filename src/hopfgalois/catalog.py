@@ -491,9 +491,8 @@ def _group_size(name):
     # factorial(min(k, MAX)) is k! for k <= MAX and exceeds MAX for k > MAX
     order = k if name[0] in "Zz" else factorial(min(k, MAX_GROUP_ORDER))
     if order > MAX_GROUP_ORDER:
-        raise GroupNameError("%r has more than %d elements; the catalog builds "
-                             "groups of at most %d" % (name, MAX_GROUP_ORDER,
-                                                       MAX_GROUP_ORDER))
+        raise GroupNameError("%r has more than %d elements, the largest order "
+                             "the catalog builds" % (name, MAX_GROUP_ORDER))
     return k
 
 

@@ -368,8 +368,7 @@ class RatFunc(Field):
         if isinstance(other, Poly):
             return RatFunc(other)
         if isinstance(other, (int, Fraction, ParamElem)):
-            c = other if isinstance(other, ParamElem) else self.ring.params.from_fraction(other)
-            return RatFunc(self.ring.const(c))
+            return RatFunc(self.ring.const(other))
         return NotImplemented
 
     def __add__(self, other):
