@@ -437,7 +437,8 @@ def _minus_one(nf, mat):
 
 
 # The largest group the catalog builds: S4.  Building and validating a
-# setting takes 0.3 s for Cherednik n=4 with S4 and 11 s for n=5 with S5.
+# setting takes 0.4 s for Cherednik n=4 with S4, but 11 s for
+# rational-differential n=5 with S5.
 MAX_GROUP_ORDER = 24
 
 

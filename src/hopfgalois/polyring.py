@@ -168,7 +168,7 @@ class Poly(Ring):
         if isinstance(other, (int, Fraction)):
             other = self.ring.params.from_fraction(other)
         if isinstance(other, ParamElem):
-            # a scalar scales each coefficient
+            # the fast path: scale each coefficient, no exponent sums as in mul_terms
             if other.is_zero():
                 return self.ring.zero
             return Poly(self.ring, {e: v * other for e, v in self.terms.items()},
