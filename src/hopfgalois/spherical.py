@@ -148,7 +148,7 @@ def morita_witness(presentation, word_length):
     for kidx, key in enumerate(keys):
         coeffs = [p.terms.get(key, zero_rf) for _, _, p in products]
         tcoeff = target.terms.get(key, zero_rf)
-        # every key has a nonzero coefficient, so den_all is a product of them
+        # every key has a nonzero coefficient, so some denominator enters den_all
         den_all = _common_denominator(ring, coeffs + [tcoeff])
         for idx, c in enumerate(coeffs):
             if c.is_zero():
