@@ -13,7 +13,12 @@ also divides numerator and denominator by it.
 A sum or product whose operands all have denominator 1 is stored as is,
 without normalization: every parameter exponent is non-negative, so over
 1 there is no common monomial factor, no gcd and no leading coefficient
-to divide by, and normalization would return its input unchanged.
+to divide by, and normalization would return its input unchanged.  The
+inverse of an element with a constant numerator c, den / c over 1, is
+stored as is for the same reason.
+
+Arithmetic between elements of two unequal parameter fields raises
+``ValueError``, as polynomial arithmetic does across variable registries.
 """
 
 from __future__ import annotations
@@ -213,6 +218,8 @@ class ParamElem(Field):
 
     def _coerce(self, other):
         if isinstance(other, ParamElem):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("parameter field mismatch between parameter elements")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_fraction(other)
@@ -255,7 +262,13 @@ class ParamElem(Field):
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting zero parameter element")
-        return ParamElem(self.field, dict(self.den), dict(self.num))
+        field, nf = self.field, self.field.nf
+        if len(self.num) == 1 and field._zero_exp in self.num:
+            # den / c is already normal: its denominator is 1
+            c = self.num[field._zero_exp]
+            num = dict(self.den) if c == nf.one else _dict_scale(nf, self.den, nf.inv(c))
+            return ParamElem(field, num, field.one.den, _normalized=True)
+        return ParamElem(field, dict(self.den), dict(self.num))
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -448,10 +448,15 @@ class SmashElement(Ring):
     # -- the hat map and normal forms -------------------------------------------
 
     def apply(self, value):
-        """The element as an operator on the fraction field."""
+        """The element as an operator on the fraction field.
+
+        Terms are summed by denominator: the numerators over each distinct
+        (monic) denominator are added as polynomials first, in first-seen
+        order, so k terms over m denominators multiply m, not k, of them.
+        """
         S = self.setting
         rf = RatFunc.of(value)
-        out = RatFunc.of(S.ring.zero)
+        groups = []  # the terms over each denominator, in first-seen order
         for (g, alpha), coeff in self.terms.items():
             cur = rf
             for j in range(len(alpha) - 1, -1, -1):
@@ -461,7 +466,19 @@ class SmashElement(Ring):
                         break
             if cur.is_zero():
                 continue
-            out = out + coeff * S.gp_act(g, cur)
+            term = coeff * S.gp_act(g, cur)
+            for group in groups:
+                if group[0].den == term.den:
+                    group.append(term)
+                    break
+            else:
+                groups.append([term])
+        out = RatFunc.of(S.ring.zero)
+        for first, *rest in groups:
+            if rest:  # a lone term is already normalised
+                num = sum((t.num for t in rest), first.num)
+                first = RatFunc(num) if first.den.is_one() else RatFunc(num, first.den)
+            out = out + first
         return out
 
     def right_normal_form(self):

@@ -14,6 +14,7 @@ order, what the full normalisation returns.  sympy is used in tests only.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.fields import field
@@ -49,6 +50,26 @@ def test_unit_denominators_skip_normalisation(monkeypatch):
         assert a == a and (a == b) == (a is b)
         assert a * 2 == a + a
     monkeypatch.undo()
+
+
+def test_inverting_a_constant_numerator_skips_normalisation(monkeypatch):
+    pf = ParamField(("q",))
+    q = pf.param("q")
+    inv_q, two = 1 / q, pf.from_fraction(2)
+    monkeypatch.setattr(ParamElem, "_normalize", staticmethod(_refuse))
+    assert inv_q.inverse() == q
+    assert str(two.inverse()) == "1/2"
+    monkeypatch.undo()
+
+
+def test_parameter_fields_do_not_mix():
+    q = ParamField(("q",)).param("q")
+    t = ParamField(("t",)).param("t")
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a == b):
+        with pytest.raises(ValueError, match="parameter field mismatch"):
+            op(q, t)
+    # equal fields built apart still mix
+    assert q + ParamField(("q",)).param("q") == 2 * q
 
 
 def test_other_denominators_are_still_reduced():
@@ -132,6 +153,13 @@ def test_unit_param_results_are_stored_normalised(a, b):
                                            _dict_mul(NF, a.den, b.den)))
     assert items(a + b) == items(ParamElem(PF, _dict_add(NF, a.num, b.num), dict(a.den)))
     assert items(a - b) == items(ParamElem(PF, _dict_add(NF, a.num, (-b).num), dict(a.den)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs, param_dicts(2, 1))
+def test_constant_numerator_inverse_is_stored_normalised(c, den):
+    a = ParamElem(PF, {PF._zero_exp: NF.from_fraction(c)}, den)
+    assert items(a.inverse()) == items(ParamElem(PF, dict(a.den), dict(a.num)))
 
 
 # x plain, z Laurent, coefficients in one parameter q

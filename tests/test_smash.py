@@ -3,6 +3,8 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from hopfgalois.catalog import (Cherednik, GKVHecke, OreFamily, QuantumBorel,
                                 RationalDifferential, ShiftFlag, build_setting,
@@ -141,6 +143,85 @@ def test_representation_property_randomized():
         y = rng.choice(pool) + rng.choice(pool)
         f = RatFunc.of(S.ring.monomial(rng.choice(monos)))
         assert (x * y).apply(f) == x.apply(y.apply(f))
+
+
+def test_apply_sums_by_denominator():
+    # six terms over two denominators, in the order A, A, B, B, A, A: summed
+    # by denominator the image is over A*B (term by term, over A^3*B^2)
+    S = swap_setting()
+    x, y = S.ring.var(0), S.ring.var(1)
+    A, B = x + 1, y + 2
+    words = [S.one(), S.group_element(1), S.inf_element(0),
+             S.group_element(1) * S.inf_element(0), S.inf_element(1),
+             S.group_element(1) * S.inf_element(1)]
+    el = S.zero()
+    for k, (word, den) in enumerate(zip(words, [A, A, B, B, A, A])):
+        el = el + word.scale(RatFunc(x + k, den))
+    assert len(el.terms) == 6
+    f = RatFunc.of(x ** 2 * y ** 2)
+    image = el.apply(f)
+    term_sum = RatFunc.of(S.ring.zero)
+    for (g, alpha), c in el.terms.items():
+        cur = f
+        for j, k in enumerate(alpha):
+            for _ in range(k):
+                cur = S.inf_gens[j].act(cur)
+        term_sum = term_sum + c * S.gp_act(g, cur)
+    assert image == term_sum
+    assert image.den == A * B
+
+
+# GKV-Hecke A1: z1 Laurent, parameter q, s1 sends z1 to z1^-1.  The
+# coefficients are drawn over three fixed denominators, so terms share them;
+# each value is given in the package and in sympy.
+HECKE = build_setting(GKVHecke("A1", "multiplicative"))
+HZ = RatFunc.of(HECKE.ring.var(0))
+HQ = HECKE.ring.params.param("q")
+SZ, SQ = sympy.symbols("z q")
+HECKE_SCALARS = [(-2, -2), (-1, -1), (1, 1), (3, 3), (HQ, SQ)]
+HECKE_DENS = [(HZ * HZ - 1, SZ ** 2 - 1), (HZ + HQ, SZ + SQ),
+              (HZ * HZ * HQ + 1, SQ * SZ ** 2 + 1)]
+
+
+def _sympy_param(c):
+    def poly(d):
+        return sum(sympy.Rational(v.numerator, v.denominator) * SQ ** k
+                   for (k,), (v,) in d.items())
+    return poly(c.num) / poly(c.den)
+
+
+def _sympy_ratfunc(r):
+    def poly(p):
+        return sum((_sympy_param(c) * SZ ** k for (k,), c in p.terms.items()),
+                   sympy.Integer(0))
+    return poly(r.num) / poly(r.den)
+
+
+hecke_terms = st.lists(
+    st.tuples(st.sampled_from([0, 1]), st.sampled_from(HECKE_DENS),
+              st.dictionaries(st.integers(-2, 2), st.sampled_from(HECKE_SCALARS),
+                              min_size=1, max_size=3)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hecke_terms, st.integers(-3, 3))
+def test_grouped_apply_matches_term_sum_and_sympy(terms, k):
+    S = HECKE
+    el = S.zero()
+    oracle = sympy.Integer(0)
+    for w, (den, sden), num in terms:
+        numer = sum((HZ ** e * c for e, (c, _) in num.items()), RatFunc.of(S.ring.zero))
+        el = el + S.group_element(w).scale(numer / den)
+        snumer = sum(sc * SZ ** e for e, (_, sc) in num.items())
+        oracle += snumer / sden * SZ ** (-k if w else k)
+    f = RatFunc.of(S.ring.monomial((k,)))
+    image = el.apply(f)
+    term_sum = RatFunc.of(S.ring.zero)
+    for (g, _), c in el.terms.items():
+        term_sum = term_sum + c * S.gp_act(g, f)
+    assert image == term_sum
+    assert sympy.cancel(_sympy_ratfunc(image) - oracle) == 0
 
 
 # -- right normal form -----------------------------------------------------------

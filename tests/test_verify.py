@@ -73,6 +73,25 @@ def test_preserves_lattice_forms_no_product(monkeypatch):
     assert preserves_lattice(pres, 2).status == VERIFIED
 
 
+def test_preserves_lattice_applies_generators_to_monomials_only(monkeypatch):
+    # products X*Y are decided from X on monomials: no full X(Y(f)) is
+    # computed while every X(x^e) stays in the lattice
+    S = build_setting(GKVHecke("A1", "multiplicative"))
+    pres = OrderPresentation(S, standard_generators(S))
+    apply = SmashElement.apply
+
+    def monomials_only(self, value):
+        assert len(RatFunc.of(value).num.terms) <= 1, "applied to %s" % value
+        return apply(self, value)
+
+    monkeypatch.setattr(SmashElement, "apply", monomials_only)
+    rep = preserves_lattice(pres, 3)
+    assert rep.status == VERIFIED
+    n = len(pres.generators)
+    assert rep.witness == {"operators": n + n ** 2,
+                           "monomials": len(S.ring.monomials_up_to(3, include_negative=True))}
+
+
 def test_preserves_lattice_demazure():
     S = build_setting(GKVHecke("A1", "multiplicative"))
     pres = OrderPresentation(S, [("sigma1", demazure_lusztig(S, 0))])
