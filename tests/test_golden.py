@@ -39,6 +39,7 @@ CASES = {
     "gkv-hecke-a1-spherical": ("spherical", [], 0),
     "gkv-hecke-a1-stabilizer": ("stabilizer", [], 0),
     "cherednik-z2-checks-strict": ("verify", ["--strict"], 3),
+    "rational-differential-z2-spherical-strict": ("spherical", ["--strict"], 3),
     "ore-counterexample-verify": ("verify", [], 1),
 }
 

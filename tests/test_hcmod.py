@@ -285,7 +285,10 @@ def test_scalar_module_family():
     p = S.meta["p"]
     for mu in range(20):
         assert scalar_module_check(p, 0, mu).status == VERIFIED
-    assert scalar_module_check(p, 1, 0).status == COUNTEREXAMPLE
+    assert scalar_module_check(p, 1, 0).to_dict() == {
+        "check": "scalar-module", "status": COUNTEREXAMPLE,
+        "witness": {"lambda": "1", "mu": "0", "p(lambda)": "1"}, "bounds": {},
+        "provenance": "Xt - tX = p(t) on a line forces p(lambda) = 0"}
     W = build_setting(OreFamily((1,)))
     assert scalar_module_check(W.meta["p"], 0, 5).status == COUNTEREXAMPLE
 
@@ -320,8 +323,33 @@ def test_local_finiteness_no_weight_vector():
     M = cyclic_module(pres, lam, 3, 3)
     other = PointIdeal(S.ring, (5,))
     rep = local_finiteness_check(M, pres, 1, other)
-    assert rep.status == COUNTEREXAMPLE
-    assert rep.witness["reason"] == "no weight vector at the point"
+    assert rep.to_dict() == {
+        "check": "local-finiteness", "status": COUNTEREXAMPLE,
+        "witness": {"hypothesis": "i", "reason": "no weight vector at the point"},
+        "bounds": {"level": 1},
+        "provenance": "a filtration slice generating from a weight vector "
+                      "bounds the weight space"}
+
+
+def test_local_finiteness_level_zero_does_not_generate():
+    # at level 0 only t acts, and t alone does not reach the derivatives of delta
+    pres = weyl_presentation()
+    S = pres.setting
+    lam = PointIdeal(S.ring, (0,))
+    M = cyclic_module(pres, lam, 3, 3)
+    rep = local_finiteness_check(M, pres, 0, lam)
+    assert rep.to_dict() == {
+        "check": "local-finiteness", "status": COUNTEREXAMPLE,
+        "witness": {
+            "hypothesis-i": "generators of degree <= 0 do not generate the "
+                            "module from a weight vector",
+            "low-degree-generators": ["t"],
+            "hypothesis-ii": "level-0 slab has 1 infinitesimal monomial(s); "
+                             "grouplike stabilizer has 1 element(s)",
+            "weight-space-dim": 4},
+        "bounds": {"level": 0, "monoid-window": 3},
+        "provenance": "a filtration slice generating from a weight vector "
+                      "bounds the weight space"}
 
 
 def test_truncated_relations_fail_only_at_the_leaky_edge():

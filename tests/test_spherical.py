@@ -112,8 +112,21 @@ def test_spherical_axiom_counterexample():
     S = swap_setting()
     x1d1 = S.from_ratfunc(S.ring.var(0)) * S.inf_element(0)
     rep = spherical_axiom_check([("x1*d1", x1d1)], S, 4)
-    assert rep.status == COUNTEREXAMPLE
-    assert rep.witness["reason"] == "image not group-fixed"
+    assert rep.to_dict() == {
+        "check": "spherical-axiom", "status": COUNTEREXAMPLE,
+        "witness": {"generator": "x1*d1", "input": "(1/2)*x1 + (1/2)*x2",
+                    "image": "(1/2)*x1", "reason": "image not group-fixed"},
+        "bounds": {"degree": 4},
+        "provenance": "spherical generators keep invariants invariant"}
+    # an invariant operator whose image of 1 leaves the lattice
+    inv = S.from_ratfunc(RatFunc(S.ring.one, S.ring.var(0) * S.ring.var(1)))
+    rep = spherical_axiom_check([("1/(x1*x2)", inv)], S, 4)
+    assert rep.to_dict() == {
+        "check": "spherical-axiom", "status": COUNTEREXAMPLE,
+        "witness": {"generator": "1/(x1*x2)", "input": "1",
+                    "image": "(1)/(x1*x2)", "reason": "image not in lattice"},
+        "bounds": {"degree": 4},
+        "provenance": "spherical generators keep invariants invariant"}
 
 
 def test_spherical_axiom_lattice_slice():
@@ -147,7 +160,11 @@ def test_morita_inconclusive_for_group_ring_alone():
     pres = OrderPresentation(S, [("x", S.from_ratfunc(S.ring.var(0))),
                                  ("s", S.group_element(1))])
     rep = morita_witness(pres, 2)
-    assert rep.status == INCONCLUSIVE
+    assert rep.to_dict() == {
+        "check": "morita-witness", "status": INCONCLUSIVE,
+        "witness": {"words": 7}, "bounds": {"word-length": 2},
+        "provenance": "1 in F e F makes the order Morita equivalent to its "
+                      "centralizer"}
 
 
 def test_psi_image_of_lattice_preserving_invariant_preserves_lattice():

@@ -44,8 +44,11 @@ def test_reductor_fails_r2_for_identity():
     x = S.ring.var(0)
     R = Reductor([(S.ring.one, x), (-(x + S.ring.one), S.ring.one)])
     rep = verify_reductor(R, GrouplikeSpan(S, [S.gp(0)]), p)
-    assert rep.status == COUNTEREXAMPLE
-    assert rep.witness["condition"] == "R2"
+    assert rep.to_dict() == {
+        "check": "reductor", "status": COUNTEREXAMPLE,
+        "witness": {"condition": "R2", "grouplike": "e", "value": "-1"},
+        "bounds": {},
+        "provenance": "a reductor kills the span: sum r_i (x |> s_i) = 0"}
 
 
 def test_trivial_reductor_fails():
@@ -53,7 +56,24 @@ def test_trivial_reductor_fails():
     p = PointIdeal(S.ring, (0,))
     R = Reductor([(S.ring.one, S.ring.one)])
     rep = verify_reductor(R, GrouplikeSpan(S, [S.gp(0, (1,))]), p)
-    assert rep.status == COUNTEREXAMPLE
+    assert rep.to_dict() == {
+        "check": "reductor", "status": COUNTEREXAMPLE,
+        "witness": {"condition": "R2", "grouplike": "tau(1,)", "value": "1"},
+        "bounds": {},
+        "provenance": "a reductor kills the span: sum r_i (x |> s_i) = 0"}
+
+
+def test_reductor_fails_r1_when_counit_vanishes():
+    # 1(x)1 - 1(x)1 kills every grouplike, but its counit value is 0
+    S = shift_line()
+    p = PointIdeal(S.ring, (0,))
+    R = Reductor([(S.ring.one, S.ring.one), (-S.ring.one, S.ring.one)])
+    rep = verify_reductor(R, GrouplikeSpan(S, [S.gp(0, (1,))]), p)
+    assert rep.to_dict() == {
+        "check": "reductor", "status": COUNTEREXAMPLE,
+        "witness": {"condition": "R1", "point": "(0)"},
+        "bounds": {},
+        "provenance": "a reductor is invertible mod the point on both sides"}
 
 
 def test_find_reductor_swap_moving_point():

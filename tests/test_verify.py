@@ -137,8 +137,17 @@ def test_center_membership_examples():
     S = build_setting(ShiftFlag(2, "S2"))
     pres = OrderPresentation(S, [("s", S.group_element(1))])
     assert center_membership(S.ring.var(0) + S.ring.var(1), pres).status == VERIFIED
-    assert center_membership(S.ring.var(0), pres).status == COUNTEREXAMPLE
+    assert center_membership(S.ring.var(0), pres).to_dict() == {
+        "check": "center-membership", "status": COUNTEREXAMPLE,
+        "witness": {"element": "x1", "fails-against": "s"}, "bounds": {},
+        "provenance": "the center is the set of invariant lattice elements"}
     assert center_membership(S.ring.one, pres).status == VERIFIED
+    outside = center_membership(RatFunc(S.ring.one, S.ring.var(0)), pres)
+    assert outside.to_dict() == {
+        "check": "center-membership", "status": COUNTEREXAMPLE,
+        "witness": {"reason": "not in the lattice", "element": "(1)/(x1)"},
+        "bounds": {},
+        "provenance": "the center is the set of invariant lattice elements"}
 
 
 def test_max_commutative_probe():
@@ -148,6 +157,12 @@ def test_max_commutative_probe():
     assert rep.witness["monomial"] == "t"
     with pytest.raises(ValueError):
         max_commutative_probe(S.from_ratfunc(S.ring.var(0)), 2)
+    # degree 0 offers only the constant monomial, which commutes with everything
+    assert max_commutative_probe(S.inf_element(0), 0).to_dict() == {
+        "check": "max-commutative-probe", "status": INCONCLUSIVE,
+        "witness": {}, "bounds": {"degree": 0},
+        "provenance": "the lattice is maximal commutative: a non-lattice "
+                      "element fails to commute with some lattice element"}
 
 
 def test_max_commutative_probe_swap():
@@ -187,7 +202,11 @@ def test_fo_certificate_dependent_inconclusive():
     t2 = S.from_ratfunc(S.ring.var(0) * 2)
     t = S.from_ratfunc(S.ring.var(0))
     rep = fo_certificate([t, t2], 4)
-    assert rep.status == INCONCLUSIVE
+    assert rep.to_dict() == {
+        "check": "fo-certificate", "status": INCONCLUSIVE,
+        "witness": {"rank-reached": 1, "needed": 2}, "bounds": {"degree": 4},
+        "provenance": "independent elements admit lattice points with "
+                      "det(X_i(a_j)) nonzero"}
     assert left_rank_oracle([t, t2]) == 1
 
 
@@ -241,5 +260,8 @@ def test_generation_witness_inconclusive_without_operator():
     S = build_setting(OreFamily((1,)))
     pres = OrderPresentation(S, [("t", S.from_ratfunc(S.ring.var(0)))])
     rep = generation_witness(pres, 2)
-    assert rep.status == INCONCLUSIVE
-    assert rep.witness["unreached"] == "d"
+    assert rep.to_dict() == {
+        "check": "generation-witness", "status": INCONCLUSIVE,
+        "witness": {"unreached": "d"}, "bounds": {"word-length": 2},
+        "provenance": "every coideal generator is reachable as an "
+                      "L-combination of order elements"}
