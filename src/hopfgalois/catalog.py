@@ -169,7 +169,7 @@ class ShiftFlag(Recipe):
         return Setting(ring, name="shift-flag",
                        group_mult=mult, group_inv=inv, group_subs=subs,
                        group_names=names, monoid_vars=tuple(range(n)),
-                       monoid_signed=True, monoid_perm=perms)
+                       monoid_perm=perms)
 
     def operators(self, setting):
         rank = setting.monoid_rank

@@ -42,6 +42,7 @@ import random
 import sys
 import traceback
 from fractions import Fraction
+from functools import partial
 
 from . import catalog as cat
 from . import spherical as sph
@@ -279,6 +280,10 @@ def identity_suite(setting):
 
 def representation_consistency(setting, presentation, samples=25, seed=0):
     """apply(XY, f) = apply(X, apply(Y, f)) on random pairs and monomials."""
+    report = partial(VerificationReport, "representation-consistency",
+                     bounds={"samples": samples},
+                     provenance="the operator realization is multiplicative: "
+                                "(XY)(f) = X(Y(f))")
     rng = random.Random(seed)
     ring = setting.ring
     gens = [g for _, g in presentation.generators]
@@ -289,16 +294,8 @@ def representation_consistency(setting, presentation, samples=25, seed=0):
         y = rng.choice(gens) * rng.choice(gens)
         f = RatFunc.of(ring.monomial(rng.choice(monos)))
         if (x * y).apply(f) != x.apply(y.apply(f)):
-            return VerificationReport(
-                "representation-consistency", COUNTEREXAMPLE,
-                witness={"trial": trial},
-                bounds={"samples": samples},
-                provenance="the operator realization is multiplicative: "
-                           "(XY)(f) = X(Y(f))")
-    return VerificationReport(
-        "representation-consistency", VERIFIED,
-        bounds={"samples": samples},
-        provenance="the operator realization is multiplicative: (XY)(f) = X(Y(f))")
+            return report(COUNTEREXAMPLE, {"trial": trial})
+    return report(VERIFIED)
 
 
 # -- subcommands ------------------------------------------------------------

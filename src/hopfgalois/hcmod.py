@@ -19,6 +19,7 @@ closure under the transposed action matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb, factorial
 
 from . import linalg
@@ -513,22 +514,19 @@ def scalar_module_check(p_poly, lam, mu):
     when it does, mu is a free parameter, so the fiber is an infinite
     family.
     """
+    report = partial(VerificationReport, "scalar-module",
+                     provenance="Xt - tX = p(t) on a line forces p(lambda) = 0")
     ring = p_poly.ring
     params = ring.params
     lam = lam if hasattr(lam, "field") else params.from_fraction(lam)
     mu = mu if hasattr(mu, "field") else params.from_fraction(mu)
     value = p_poly.evaluate((lam,) * ring.nvars)
     if value.is_zero():
-        return VerificationReport(
-            "scalar-module", VERIFIED,
-            witness={"lambda": str(lam), "mu": str(mu), "p(lambda)": "0",
-                     "note": "mu is arbitrary: a one-dimensional module for "
-                             "every scalar, an uncountable family"},
-            provenance="Xt - tX = p(t) on a line forces p(lambda) = 0")
-    return VerificationReport(
-        "scalar-module", COUNTEREXAMPLE,
-        witness={"lambda": str(lam), "mu": str(mu), "p(lambda)": str(value)},
-        provenance="Xt - tX = p(t) on a line forces p(lambda) = 0")
+        return report(VERIFIED, {"lambda": str(lam), "mu": str(mu), "p(lambda)": "0",
+                                 "note": "mu is arbitrary: a one-dimensional module "
+                                         "for every scalar, an uncountable family"})
+    return report(COUNTEREXAMPLE, {"lambda": str(lam), "mu": str(mu),
+                                   "p(lambda)": str(value)})
 
 
 def local_finiteness_check(module, presentation, r, point, monoid_window=3):
@@ -540,16 +538,16 @@ def local_finiteness_check(module, presentation, r, point, monoid_window=3):
     shift window is reported honestly).  When both hold the weight-space
     dimension is reported.
     """
+    report = partial(VerificationReport, "local-finiteness",
+                     provenance="a filtration slice generating from a weight "
+                                "vector bounds the weight space")
     S = module.setting
     params = S.ring.params
     ordinary = module.ordinary_weight_space(point)
     if not ordinary:
-        return VerificationReport(
-            "local-finiteness", COUNTEREXAMPLE,
-            witness={"hypothesis": "i", "reason": "no weight vector at the point"},
-            bounds={"level": r},
-            provenance="a filtration slice generating from a weight vector "
-                       "bounds the weight space")
+        return report(COUNTEREXAMPLE, {"hypothesis": "i",
+                                       "reason": "no weight vector at the point"},
+                      bounds={"level": r})
     low_names = []
     mats = []
     for name, g in presentation.generators:
@@ -565,19 +563,13 @@ def local_finiteness_check(module, presentation, r, point, monoid_window=3):
         inf_slab = comb(r + ngen, ngen)
     pi = _point_index(module.points, point.coords)
     block = None if pi is None else module.point_block_dims()[pi]
-    status = VERIFIED if generates else COUNTEREXAMPLE
-    return VerificationReport(
-        "local-finiteness", status,
-        witness={
-            "hypothesis-i": "generators of degree <= %d %s the module from a "
-                            "weight vector" % (r, "generate" if generates
-                                               else "do not generate"),
-            "low-degree-generators": low_names,
-            "hypothesis-ii": "level-%d slab has %d infinitesimal monomial(s); "
-                             "grouplike stabilizer has %d element(s)"
-                             % (r, inf_slab, len(stab.members)),
-            "weight-space-dim": block,
-        },
-        bounds={"level": r, "monoid-window": monoid_window},
-        provenance="a filtration slice generating from a weight vector bounds "
-                   "the weight space")
+    return report(VERIFIED if generates else COUNTEREXAMPLE, {
+        "hypothesis-i": "generators of degree <= %d %s the module from a "
+                        "weight vector" % (r, "generate" if generates
+                                           else "do not generate"),
+        "low-degree-generators": low_names,
+        "hypothesis-ii": "level-%d slab has %d infinitesimal monomial(s); "
+                         "grouplike stabilizer has %d element(s)"
+                         % (r, inf_slab, len(stab.members)),
+        "weight-space-dim": block,
+    }, bounds={"level": r, "monoid-window": monoid_window})

@@ -128,7 +128,7 @@ class Setting:
 
     def __init__(self, ring, name="setting",
                  group_mult=None, group_inv=None, group_subs=None, group_names=None,
-                 monoid_vars=(), monoid_signed=True, monoid_perm=None,
+                 monoid_vars=(), monoid_perm=None,
                  inf_gens=(), conj_table=None, meta=None):
         self.ring = ring
         self.name = name
@@ -146,7 +146,6 @@ class Setting:
             raise ValueError("group too large to enumerate")
         self.monoid_vars = tuple(monoid_vars)
         self.monoid_rank = len(self.monoid_vars)
-        self.monoid_signed = monoid_signed
         if monoid_perm is None:
             monoid_perm = [tuple(range(self.monoid_rank))] * self.group_size
         self.monoid_perm = monoid_perm
@@ -177,8 +176,6 @@ class Setting:
         return GroupPart(w, mu)
 
     def gp_inv(self, a):
-        if not self.monoid_signed and any(a.mu):
-            raise ValueError("shift part is not invertible in this monoid")
         wi = self.group_inv[a.w]
         perm = self.monoid_perm[a.w]
         mu = tuple(-a.mu[perm[i]] for i in range(self.monoid_rank))

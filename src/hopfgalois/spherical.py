@@ -9,9 +9,13 @@ invariant-theory machinery.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import partial
+
 from . import linalg
 from .polyring import RatFunc, try_divide
-from .verify import COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, VerificationReport
+from .verify import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, VerificationReport,
+                     normal_form_keys)
 
 
 def idempotent(setting):
@@ -25,7 +29,7 @@ def symmetrize(element):
     total = S.zero()
     for w in range(S.group_size):
         total = total + element.conjugate_by(S.gp(w))
-    inv = S.ring.params.from_fraction(1) / S.ring.params.from_fraction(S.group_size)
+    inv = S.ring.params.from_fraction(Fraction(1, S.group_size))
     return total.scale(RatFunc.of(S.ring.const(inv)))
 
 
@@ -48,9 +52,7 @@ def reynolds(setting, poly):
     total = setting.ring.zero
     for w in range(setting.group_size):
         total = total + setting.gp_act(setting.gp(w), poly)
-    inv = setting.ring.params.from_fraction(1) / \
-        setting.ring.params.from_fraction(setting.group_size)
-    return total * inv
+    return total * setting.ring.params.from_fraction(Fraction(1, setting.group_size))
 
 
 def invariant_basis(setting, degree):
@@ -78,32 +80,23 @@ def spherical_axiom_check(named_generators, setting, degree):
     degree <= d and checks the image is a lattice element fixed by the
     group.
     """
+    report = partial(VerificationReport, "spherical-axiom", bounds={"degree": degree},
+                     provenance="spherical generators keep invariants invariant")
     basis = invariant_basis(setting, degree)
     for name, g in named_generators:
         for f in basis:
             img = g.apply(RatFunc.of(f))
             if not img.is_in_lattice():
-                return VerificationReport(
-                    "spherical-axiom", COUNTEREXAMPLE,
-                    witness={"generator": name, "input": str(f),
-                             "image": str(img), "reason": "image not in lattice"},
-                    bounds={"degree": degree},
-                    provenance="spherical generators keep invariants invariant")
-            for w in range(1, setting.group_size):
-                if setting.gp_act(setting.gp(w), img) != img:
-                    return VerificationReport(
-                        "spherical-axiom", COUNTEREXAMPLE,
-                        witness={"generator": name, "input": str(f),
-                                 "image": str(img),
-                                 "reason": "image not group-fixed"},
-                        bounds={"degree": degree},
-                        provenance="spherical generators keep invariants invariant")
-    return VerificationReport(
-        "spherical-axiom", VERIFIED,
-        witness={"generators": [n for n, _ in named_generators],
-                 "basis-size": len(basis)},
-        bounds={"degree": degree},
-        provenance="spherical generators keep invariants invariant")
+                reason = "image not in lattice"
+            elif any(setting.gp_act(setting.gp(w), img) != img
+                     for w in range(1, setting.group_size)):
+                reason = "image not group-fixed"
+            else:
+                continue
+            return report(COUNTEREXAMPLE, {"generator": name, "input": str(f),
+                                           "image": str(img), "reason": reason})
+    return report(VERIFIED, {"generators": [n for n, _ in named_generators],
+                             "basis-size": len(basis)})
 
 
 def _word_pool(presentation, word_length):
@@ -120,17 +113,16 @@ def morita_witness(presentation, word_length):
     length <= d and scalar unknowns over the parameter field; returns the
     witness combination or inconclusive-at-bound.
     """
+    report = partial(VerificationReport, "morita-witness",
+                     bounds={"word-length": word_length},
+                     provenance="1 in F e F makes the order Morita equivalent to "
+                                "its centralizer")
     S = presentation.setting
     ring = S.ring
     params = ring.params
     if S.group_size == 1:
-        return VerificationReport(
-            "morita-witness", VERIFIED,
-            witness={"combination": [["1", "1", "1"]],
-                     "note": "trivial group: e = 1"},
-            bounds={"word-length": word_length},
-            provenance="1 in F e F makes the order Morita equivalent to its "
-                       "centralizer")
+        return report(VERIFIED, {"combination": [["1", "1", "1"]],
+                                 "note": "trivial group: e = 1"})
     e = idempotent(S)
     words = _word_pool(presentation, word_length)
     products = []
@@ -139,8 +131,7 @@ def morita_witness(presentation, word_length):
         for bname, b in words:
             products.append((aname, bname, ae * b))
     target = S.one()
-    keys = sorted({k for _, _, p in products for k in p.terms} | set(target.terms),
-                  key=lambda k: (k[0], k[1]))
+    keys = normal_form_keys([p for _, _, p in products] + [target])
     # per normal-form key: clear denominators once, then match per monomial
     zero_rf = RatFunc.of(ring.zero)
     rows_by_mono = {}
@@ -169,12 +160,7 @@ def morita_witness(presentation, word_length):
         rhs.append(rhs_by_mono.get(rk, params.zero))
     sol = linalg.solve(matrix, rhs) if matrix else None
     if sol is None:
-        return VerificationReport(
-            "morita-witness", INCONCLUSIVE,
-            witness={"words": len(words)},
-            bounds={"word-length": word_length},
-            provenance="1 in F e F makes the order Morita equivalent to its "
-                       "centralizer")
+        return report(INCONCLUSIVE, {"words": len(words)})
     combo = []
     total = S.zero()
     for c, (aname, bname, prod) in zip(sol, products):
@@ -183,12 +169,7 @@ def morita_witness(presentation, word_length):
             total = total + prod.scale(RatFunc.of(ring.const(c)))
     if not (total == target):
         raise AssertionError("witness replay failed")
-    return VerificationReport(
-        "morita-witness", VERIFIED,
-        witness={"combination": combo},
-        bounds={"word-length": word_length},
-        provenance="1 in F e F makes the order Morita equivalent to its "
-                   "centralizer")
+    return report(VERIFIED, {"combination": combo})
 
 
 def _common_denominator(ring, rfs):

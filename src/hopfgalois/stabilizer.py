@@ -9,6 +9,7 @@ completing at the point; the certificate is exact and replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
@@ -106,6 +107,7 @@ class Reductor:
 def verify_reductor(reductor, span, point):
     """(R2) sum r_i (x |> s_i) = 0 for each spanning grouplike;
     (R1) the counit image sum r_i(p) s_i(p) is nonzero."""
+    report = partial(VerificationReport, "reductor")
     setting = span.setting
     ring = setting.ring
     for g in span.members:
@@ -113,23 +115,19 @@ def verify_reductor(reductor, span, point):
         for r, s in reductor.pairs:
             total = total + r * setting.gp_act(g, s)
         if not total.is_zero():
-            return VerificationReport(
-                "reductor", COUNTEREXAMPLE,
-                witness={"condition": "R2", "grouplike": setting.gp_name(g),
-                         "value": str(total)},
-                provenance="a reductor kills the span: sum r_i (x |> s_i) = 0")
+            return report(COUNTEREXAMPLE, {"condition": "R2",
+                                           "grouplike": setting.gp_name(g),
+                                           "value": str(total)},
+                          provenance="a reductor kills the span: "
+                                     "sum r_i (x |> s_i) = 0")
     value = reductor.counit_value(point)
     if value.is_zero():
-        return VerificationReport(
-            "reductor", COUNTEREXAMPLE,
-            witness={"condition": "R1", "point": point.label()},
-            provenance="a reductor is invertible mod the point on both sides")
-    return VerificationReport(
-        "reductor", VERIFIED,
-        witness={"pairs": len(reductor.pairs), "counit": str(value),
-                 "point": point.label()},
-        provenance="reductor conditions: R2 annihilation and R1 invertibility "
-                   "mod the point")
+        return report(COUNTEREXAMPLE, {"condition": "R1", "point": point.label()},
+                      provenance="a reductor is invertible mod the point on both sides")
+    return report(VERIFIED, {"pairs": len(reductor.pairs), "counit": str(value),
+                             "point": point.label()},
+                  provenance="reductor conditions: R2 annihilation and R1 "
+                             "invertibility mod the point")
 
 
 def find_reductor(span, point):
@@ -161,11 +159,10 @@ def _separating_element(setting, g, point):
 
 
 def full_group_span(setting, monoid_window=0):
-    """All group parts with shift coordinates in [-w, w] (or [0, w] unsigned)."""
+    """All group parts with shift coordinates in [-w, w]."""
     mus = [()]
     for _ in range(setting.monoid_rank):
-        low = -monoid_window if setting.monoid_signed else 0
-        mus = [m + (k,) for m in mus for k in range(low, monoid_window + 1)]
+        mus = [m + (k,) for m in mus for k in range(-monoid_window, monoid_window + 1)]
     members = [setting.gp(w, mu) for w in range(setting.group_size)
                for mu in sorted(mus)]
     return GrouplikeSpan(setting, members)

@@ -4,12 +4,14 @@ Universally quantified axioms ("for all a", "for all X") are checked on
 finite monomial bases and generator words up to a declared bound; every
 report records the bound, so "verified" always means "verified up to the
 stated bound".  Counterexample payloads carry enough data to re-verify on
-replay.
+replay.  A check states its name, bounds and provenance once, as a
+``partial`` of ``VerificationReport``; each return adds status and witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import linalg
 from .polyring import RatFunc
@@ -95,16 +97,10 @@ def preserves_lattice(presentation, degree_bound):
     S = presentation.setting
     ring = S.ring
     monomials = ring.monomials_up_to(degree_bound, include_negative=True)
-    provenance = "lattice preservation: X(f) stays polynomial for polynomial f"
-    bounds = {"degree": degree_bound}
-
-    def counterexample(opname, exps, image):
-        return VerificationReport(
-            "preserves-lattice", COUNTEREXAMPLE,
-            witness={"operator": opname,
-                     "monomial": _monomial_name(ring, exps),
-                     "image": str(image)},
-            bounds=bounds, provenance=provenance)
+    report = partial(VerificationReport, "preserves-lattice",
+                     bounds={"degree": degree_bound},
+                     provenance="lattice preservation: X(f) stays polynomial "
+                                "for polynomial f")
 
     # images[j][k] = Y_j(f_k), by position: an extra generator may reuse a name
     images = []
@@ -113,7 +109,9 @@ def preserves_lattice(presentation, degree_bound):
         for exps in monomials:
             image = y.apply(RatFunc.of(ring.monomial(exps)))
             if not image.is_in_lattice():
-                return counterexample(name, exps, image)
+                return report(COUNTEREXAMPLE, {"operator": name,
+                                               "monomial": _monomial_name(ring, exps),
+                                               "image": str(image)})
             row.append(image)
         images.append(row)
 
@@ -130,12 +128,11 @@ def preserves_lattice(presentation, degree_bound):
                     continue
                 image = x.apply(y_image)
                 if not image.is_in_lattice():
-                    return counterexample("%s*%s" % (n1, n2), exps, image)
+                    return report(COUNTEREXAMPLE, {"operator": "%s*%s" % (n1, n2),
+                                                   "monomial": _monomial_name(ring, exps),
+                                                   "image": str(image)})
     n = len(presentation.generators)
-    return VerificationReport(
-        "preserves-lattice", VERIFIED,
-        witness={"operators": n + n * n, "monomials": len(monomials)},
-        bounds=bounds, provenance=provenance)
+    return report(VERIFIED, {"operators": n + n * n, "monomials": len(monomials)})
 
 
 def split_decompose(element):
@@ -150,23 +147,18 @@ def split_decompose(element):
 
 def center_membership(value, presentation):
     """Is a lattice element central: in the lattice and commuting with all generators?"""
+    report = partial(VerificationReport, "center-membership",
+                     provenance="the center is the set of invariant lattice elements")
     S = presentation.setting
     rf = RatFunc.of(value)
     if not rf.is_in_lattice():
-        return VerificationReport(
-            "center-membership", COUNTEREXAMPLE,
-            witness={"reason": "not in the lattice", "element": str(rf)},
-            provenance="the center is the set of invariant lattice elements")
+        return report(COUNTEREXAMPLE, {"reason": "not in the lattice",
+                                       "element": str(rf)})
     a = S.from_ratfunc(rf)
     for name, g in presentation.generators:
         if not (g * a - a * g).is_zero():
-            return VerificationReport(
-                "center-membership", COUNTEREXAMPLE,
-                witness={"element": str(rf), "fails-against": name},
-                provenance="the center is the set of invariant lattice elements")
-    return VerificationReport(
-        "center-membership", VERIFIED, witness={"element": str(rf)},
-        provenance="the center is the set of invariant lattice elements")
+            return report(COUNTEREXAMPLE, {"element": str(rf), "fails-against": name})
+    return report(VERIFIED, {"element": str(rf)})
 
 
 def max_commutative_probe(element, degree_bound):
@@ -175,6 +167,10 @@ def max_commutative_probe(element, degree_bound):
     Witnesses that nothing outside the lattice commutes with the whole
     lattice: evaluates [X, a] at 1 for monomials a of degree <= bound.
     """
+    report = partial(VerificationReport, "max-commutative-probe",
+                     bounds={"degree": degree_bound},
+                     provenance="the lattice is maximal commutative: a non-lattice "
+                                "element fails to commute with some lattice element")
     S = element.setting
     ring = S.ring
     _, minus = split_decompose(element)
@@ -187,18 +183,14 @@ def max_commutative_probe(element, degree_bound):
         a = S.from_ratfunc(ring.monomial(exps))
         val = (element * a - a * element).apply(one)
         if not val.is_zero():
-            return VerificationReport(
-                "max-commutative-probe", VERIFIED,
-                witness={"monomial": _monomial_name(ring, exps),
-                         "commutator-at-1": str(val)},
-                bounds={"degree": degree_bound},
-                provenance="the lattice is maximal commutative: a non-lattice "
-                           "element fails to commute with some lattice element")
-    return VerificationReport(
-        "max-commutative-probe", INCONCLUSIVE,
-        bounds={"degree": degree_bound},
-        provenance="the lattice is maximal commutative: a non-lattice element "
-                   "fails to commute with some lattice element")
+            return report(VERIFIED, {"monomial": _monomial_name(ring, exps),
+                                     "commutator-at-1": str(val)})
+    return report(INCONCLUSIVE)
+
+
+def normal_form_keys(elements):
+    """The sorted (group part, exponents) keys of all the elements' terms."""
+    return sorted({k for x in elements for k in x.terms})
 
 
 def left_rank_oracle(elements):
@@ -207,8 +199,7 @@ def left_rank_oracle(elements):
     Independent of the evaluation route: linear independence is read off
     the normal-form coefficients directly.
     """
-    keys = sorted({k for x in elements for k in x.terms},
-                  key=lambda k: (k[0], k[1]))
+    keys = normal_form_keys(elements)
     if not keys:
         return 0
     ring = elements[0].setting.ring
@@ -224,6 +215,10 @@ def fo_certificate(elements, degree_bound):
     keeping columns a_j that increase the rank of (X_i(a_j)); succeeds when
     the square matrix turns nonsingular and returns its exact determinant.
     """
+    report = partial(VerificationReport, "fo-certificate",
+                     bounds={"degree": degree_bound},
+                     provenance="independent elements admit lattice points with "
+                                "det(X_i(a_j)) nonzero")
     if not elements:
         raise ValueError("need at least one element")
     S = elements[0].setting
@@ -242,19 +237,10 @@ def fo_certificate(elements, degree_bound):
             if len(columns) == n:
                 matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
                 d = linalg.det(matrix)
-                return VerificationReport(
-                    "fo-certificate", VERIFIED,
-                    witness={"monomials": [_monomial_name(ring, e) for e in chosen],
-                             "determinant": str(d)},
-                    bounds={"degree": degree_bound},
-                    provenance="independent elements admit lattice points with "
-                               "det(X_i(a_j)) nonzero")
-    return VerificationReport(
-        "fo-certificate", INCONCLUSIVE,
-        witness={"rank-reached": len(columns), "needed": n},
-        bounds={"degree": degree_bound},
-        provenance="independent elements admit lattice points with "
-                   "det(X_i(a_j)) nonzero")
+                return report(VERIFIED, {
+                    "monomials": [_monomial_name(ring, e) for e in chosen],
+                    "determinant": str(d)})
+    return report(INCONCLUSIVE, {"rank-reached": len(columns), "needed": n})
 
 
 def generation_witness(presentation, word_length=2):
@@ -265,6 +251,10 @@ def generation_witness(presentation, word_length=2):
     Solves exactly over the fraction field; inconclusive-at-bound when the
     word pool is too short.
     """
+    report = partial(VerificationReport, "generation-witness",
+                     bounds={"word-length": word_length},
+                     provenance="every coideal generator is reachable as an "
+                                "L-combination of order elements")
     S = presentation.setting
     ring = S.ring
     words = presentation.words(word_length)
@@ -274,35 +264,19 @@ def generation_witness(presentation, word_length=2):
     for j, gen in enumerate(S.inf_gens):
         targets.append((gen.name, S.inf_element(j)))
     if not targets:
-        return VerificationReport(
-            "generation-witness", VERIFIED,
-            witness={"note": "no coideal generators beyond the lattice"},
-            bounds={"word-length": word_length},
-            provenance="every coideal generator is reachable as an "
-                       "L-combination of order elements")
+        return report(VERIFIED, {"note": "no coideal generators beyond the lattice"})
     zero = RatFunc.of(ring.zero)
     combos = {}
     for tname, target in targets:
-        keys = sorted({k for _, w in words for k in w.terms} | set(target.terms),
-                      key=lambda k: (k[0], k[1]))
+        keys = normal_form_keys([w for _, w in words] + [target])
         matrix = [[w.terms.get(k, zero) for _, w in words] for k in keys]
         rhs = [target.terms.get(k, zero) for k in keys]
         sol = linalg.solve(matrix, rhs)
         if sol is None:
-            return VerificationReport(
-                "generation-witness", INCONCLUSIVE,
-                witness={"unreached": tname},
-                bounds={"word-length": word_length},
-                provenance="every coideal generator is reachable as an "
-                           "L-combination of order elements")
+            return report(INCONCLUSIVE, {"unreached": tname})
         combos[tname] = [[wname, str(c)] for (wname, _), c in zip(words, sol)
                          if not c.is_zero()]
-    return VerificationReport(
-        "generation-witness", VERIFIED,
-        witness={"combinations": combos},
-        bounds={"word-length": word_length},
-        provenance="every coideal generator is reachable as an "
-                   "L-combination of order elements")
+    return report(VERIFIED, {"combinations": combos})
 
 
 def weight_fiber_witness(presentation, point):

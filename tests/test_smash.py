@@ -324,14 +324,6 @@ def test_conjugation_covariance_of_dunkl():
         assert conj.apply(f) == D2.apply(f)
 
 
-def test_shift_part_not_invertible_in_unsigned_monoid():
-    S = build_setting(ShiftFlag(1, "trivial"))
-    S.monoid_signed = False
-    tau = S.group_element(0, (1,))
-    with pytest.raises(ValueError):
-        tau.conjugate_by(S.gp(0, (1,)))
-
-
 def test_validate_checks_every_group_pair():
     # S4 has 576 pairs; break one far from both ends of the table
     S = build_setting(RationalDifferential(4, "S4"))
