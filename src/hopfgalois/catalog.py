@@ -38,7 +38,7 @@ from . import linalg
 from .numberfield import NumberField
 from .params import ParamField
 from .polyring import PolyRing, RatFunc
-from .smash import InfGenerator, Setting
+from .smash import MAX_GROUP_ORDER, InfGenerator, Setting
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 
 
@@ -434,12 +434,6 @@ def _minus_one(nf, mat):
     """The rows of mat - 1."""
     return [[nf.sub(x, nf.one) if r == c else x for c, x in enumerate(row)]
             for r, row in enumerate(mat)]
-
-
-# The largest group the catalog builds: S4.  Building and validating a
-# setting takes 0.4 s for Cherednik n=4 with S4, but 11 s for
-# rational-differential n=5 with S5.
-MAX_GROUP_ORDER = 24
 
 
 def _enumerate(nf, n, gens, gen_names):

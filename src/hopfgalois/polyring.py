@@ -11,7 +11,9 @@ cross-multiplication, or over equal denominators by comparing the
 numerators, never by comparing stored representations.  A lattice element
 built from a polynomial, and a sum or product of lattice elements, is
 stored without normalization, which over the denominator 1 would change
-nothing.
+nothing.  A sum over two different denominators is taken over the larger
+one when one divides the other, which is then their lcm, and over their
+product only when neither does.
 
 Substitution images are lattice elements, so substituting into a
 polynomial is polynomial arithmetic; only units (monomials, whose
@@ -287,7 +289,12 @@ def try_divide(num, den):
 
 class RatFunc(Field):
     """A fraction of polynomials, normalized but compared by cross-multiplication;
-    over equal denominators, equality compares the numerators."""
+    over equal denominators, equality compares the numerators.
+
+    a/d1 + b/d2 is over d2 when d1 divides d2 (and over d1 when d2 divides
+    d1), tested by ``try_divide``; otherwise over d1*d2, or 0 over 1 when
+    the numerator cancels.  Denominators are never gcd-reduced beyond this.
+    """
 
     __slots__ = ("num", "den")
 
@@ -379,7 +386,17 @@ class RatFunc(Field):
             return RatFunc(self.num + other.num, self.den, _normalized=True)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        # nested denominators: the larger one is the lcm
+        q = try_divide(other.den, self.den)
+        if q is not None:
+            return RatFunc(self.num * q + other.num, other.den)
+        q = try_divide(self.den, other.den)
+        if q is not None:
+            return RatFunc(self.num + other.num * q, self.den)
+        num = self.num * other.den + other.num * self.den
+        if num.is_zero():
+            return RatFunc(num)
+        return RatFunc(num, self.den * other.den)
 
     __radd__ = __add__
 

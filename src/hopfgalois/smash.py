@@ -25,6 +25,12 @@ from .sparse import (Ring, add_into, add_terms, factor, monomial, mul_terms, pow
                      signed_sum)
 
 
+# The largest group a setting takes, and the catalog builds: S4.  Building
+# and validating a setting takes 0.4 s for Cherednik n=4 with S4, but 11 s
+# for rational-differential n=5 with S5.
+MAX_GROUP_ORDER = 24
+
+
 class GroupPart(NamedTuple):
     w: int
     mu: tuple
@@ -142,8 +148,9 @@ class Setting:
         self.group_subs = group_subs
         self.group_names = group_names
         self.group_size = len(group_mult)
-        if self.group_size > 10 ** 4:
-            raise ValueError("group too large to enumerate")
+        if self.group_size > MAX_GROUP_ORDER:
+            raise ValueError("a group of %d elements is larger than %d, the largest "
+                             "order a setting takes" % (self.group_size, MAX_GROUP_ORDER))
         self.monoid_vars = tuple(monoid_vars)
         self.monoid_rank = len(self.monoid_vars)
         if monoid_perm is None:

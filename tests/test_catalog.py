@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfgalois import catalog
 from hopfgalois.catalog import (RECIPES, Cherednik, GKVHecke, OreFamily,
                                 QuantumBorel, RationalDifferential, ShiftFlag,
                                 TrigonometricDifferential, build_setting,
@@ -11,7 +12,7 @@ from hopfgalois.catalog import (RECIPES, Cherednik, GKVHecke, OreFamily,
                                 quantum_borel_E, standard_generators)
 from hopfgalois.cli import parse_recipe
 from hopfgalois.polyring import RatFunc
-from hopfgalois.smash import Setting
+from hopfgalois.smash import MAX_GROUP_ORDER, Setting
 
 
 def test_quantum_borel_setting():
@@ -266,6 +267,20 @@ def test_operator_guards_reject_other_settings():
             if j != k:
                 with pytest.raises(ValueError):
                     operator(S, *args)
+
+
+def test_setting_takes_at_most_the_catalog_group_order():
+    assert catalog.MAX_GROUP_ORDER is MAX_GROUP_ORDER
+    ring = build_setting(OreFamily((1,))).ring
+
+    def cyclic(n):
+        return Setting(ring, group_mult=[[(i + j) % n for j in range(n)] for i in range(n)],
+                       group_inv=[-i % n for i in range(n)], group_subs=[{}] * n,
+                       group_names=["g%d" % i for i in range(n)])
+
+    assert cyclic(MAX_GROUP_ORDER).group_size == MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match="larger than %d" % MAX_GROUP_ORDER):
+        cyclic(MAX_GROUP_ORDER + 1)
 
 
 def test_standard_generators_of_a_hand_built_setting():

@@ -9,18 +9,22 @@ sympy's rational function field, whose elements are kept cancelled as
 ``sympy.cancel`` leaves them, on operands with unit and non-unit
 denominators, and
 check that every stored unit-denominator result is, item for item and in
-order, what the full normalisation returns.  sympy is used in tests only.
+order, what the full normalisation returns.  A sum over nested
+denominators is stored over the larger one; sums of fractions over
+products of linear forms, nested or not, are checked against
+``sympy.cancel``.  sympy is used in tests only.
 """
 
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.fields import field
 
 from hopfgalois.params import ParamElem, ParamField, _dict_add, _dict_mul
-from hopfgalois.polyring import PolyRing, RatFunc
+from hopfgalois.polyring import PolyRing, RatFunc, try_divide
 
 
 def _refuse(*args):
@@ -219,3 +223,88 @@ def test_unit_ratfunc_results_are_stored_normalised(a, b):
     assert rat_items(a + b) == rat_items(RatFunc(a.num + b.num, a.den))
     assert rat_items(a - b) == rat_items(RatFunc(a.num + (-b).num, a.den))
     assert rat_items(RatFunc(a.num)) == rat_items(RatFunc(a.num, R.one))
+
+
+# -- sums over nested denominators ------------------------------------------
+
+def _monic(p):
+    return RatFunc(p.ring.one, p).den
+
+
+def test_nested_sum_is_over_the_larger_denominator():
+    # a/d + b/(d e) = (a e + b)/(d e), not (a d e + b d)/(d^2 e)
+    q = RPF.param("q")
+    P = PolyRing(("x", "y"), params=RPF)
+    x, y = P.var(0), P.var(1)
+    z = R.var(1)  # Laurent
+    cases = [(2 * x - y * q, x + y + 1, x * y, y - 3),
+             (z - q, R.var(0) * z + 1, z ** -1, R.var(0) + q)]
+    for d, e, a, b in cases:
+        small, large = RatFunc(a, d), RatFunc(b, d * e)
+        assert small.den.terms == _monic(d).terms
+        assert large.den.terms == _monic(d * e).terms
+        for total in (small + large, large + small):
+            assert total.den.terms == _monic(d * e).terms
+            assert total == RatFunc(a * d * e + b * d, d * d * e)
+
+
+def test_sums_that_cancel_are_zero_over_one():
+    P = PolyRing(("x", "y"), params=RPF)
+    x, y = P.var(0), P.var(1)
+    d, u, v = x - y, x + 1, y + 2
+    nested = RatFunc(P.one, d) + RatFunc(-u, d * u)
+    # d u and d v: neither divides the other
+    crossed = RatFunc(u, d * u) + RatFunc(-v, d * v)
+    for total in (nested, crossed):
+        assert total.num.is_zero() and total.den.is_one()
+
+
+# Products of the linear forms below, none a monomial, make the
+# denominators; the second one is the first times more forms (nested) or
+# drawn on its own.  x plain, z Laurent, as in R.
+LINEAR_FORMS = [R.var(0) - R.var(1), R.var(0) + R.var(1), R.var(1) - RPF.param("q"),
+                2 * R.var(0) + R.var(1) + 1, R.var(0) + RPF.param("q")]
+SQ, SX, SZ = sympy.symbols("q x z")
+
+
+def _product(indices):
+    out = R.one
+    for i in indices:
+        out = out * LINEAR_FORMS[i]
+    return out
+
+
+def _sympy_poly(p):
+    def param(d):
+        return sum(sympy.Rational(c.numerator, c.denominator) * SQ ** k
+                   for (k,), (c,) in d.items())
+
+    return sum((param(c.num) / param(c.den) * SX ** i * SZ ** j
+                for (i, j), c in p.terms.items()), sympy.Integer(0))
+
+
+def _degree(p):
+    return max(sum(e) for e in p.terms)
+
+
+form_lists = st.lists(st.integers(0, len(LINEAR_FORMS) - 1), max_size=3)
+numerators = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-1, 1)),
+    st.sampled_from([RPF.from_int(1), RPF.from_int(-2), RPF.from_fraction(Fraction(1, 2)),
+                     RPF.param("q"), RPF.param("q") - 1]),
+    max_size=3).map(lambda terms: sum((R.monomial(e, c) for e, c in terms.items()), R.zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerators, numerators, form_lists, form_lists, st.booleans(), st.booleans())
+def test_sums_over_products_of_linear_forms_match_sympy(na, nb, da, extra, nested, flip):
+    d1 = _product(da)
+    d2 = _product(da + extra) if nested else _product(extra)
+    a, b = RatFunc(na, d1), RatFunc(nb, d2)
+    total = b + a if flip else a + b
+    oracle = _sympy_poly(na) / _sympy_poly(d1) + _sympy_poly(nb) / _sympy_poly(d2)
+    assert sympy.cancel(_sympy_poly(total.num) / _sympy_poly(total.den) - oracle) == 0
+    bound = _degree(a.den) + _degree(b.den)
+    if try_divide(a.den, b.den) is not None or try_divide(b.den, a.den) is not None:
+        bound = max(_degree(a.den), _degree(b.den))
+    assert _degree(total.den) <= bound

@@ -145,6 +145,24 @@ def test_representation_property_randomized():
         assert (x * y).apply(f) == x.apply(y.apply(f))
 
 
+def test_cherednik_s3_product_keeps_nested_denominators_small():
+    # trial 12 of the representation check on Cherednik S3.  The Dunkl
+    # coefficients are over products of root forms x_i - x_j, so most sums in
+    # X*Y have nested denominators; summed over the larger one, no
+    # denominator of X*Y has more than 82 terms (over their products, 466)
+    S = build_setting(Cherednik(3, "S3"))
+    x1, x2 = S.ring.var(0), S.ring.var(1)
+    D1, D2 = dunkl_operator(S, 0), dunkl_operator(S, 1)
+    assert S.group_names[3] == "s1*s2"
+    x = S.group_element(3) + D1.scale(RatFunc.of(x2 ** 2))
+    y = D2 * D1
+    f = RatFunc.of(x1 ** 2 * x2)
+    xy = x * y
+    assert len(xy.terms) == 28
+    assert max(len(c.den.terms) for c in xy.terms.values()) <= 82
+    assert xy.apply(f) == x.apply(y.apply(f))
+
+
 def test_apply_sums_by_denominator():
     # six terms over two denominators, in the order A, A, B, B, A, A: summed
     # by denominator the image is over A*B (term by term, over A^3*B^2)
