@@ -81,8 +81,8 @@ def _known_keys(doc, known, path):
 def _int(value, path):
     try:
         n = int(value)
-        # int() alone would truncate 1.7 to 1
-        if isinstance(value, str) or n == value:
+        # int() alone would truncate 1.7 to 1, and read JSON true as 1
+        if isinstance(value, str) or (n == value and not isinstance(value, bool)):
             return n
     except (TypeError, ValueError):
         pass
@@ -329,11 +329,20 @@ def _checks(doc, reports):
     return reports, False
 
 
+def _need_generators(presentation):
+    """The order certificates of ``verify`` and ``spherical`` are about the
+    algebra the generators span, so an empty list is bad input."""
+    if not presentation.generators:
+        raise UsageError("generators: the list is empty and no extra_generators "
+                         "are given")
+
+
 CHECKS = ("preserves-lattice", "identities", "split-maxcomm", "fo-certificate",
           "generation", "representation")
 
 
 def cmd_verify(config, setting, presentation, bounds, doc):
+    _need_generators(presentation)
     wanted = _get(config, "checks", CHECKS, list, "a list of check names")
     for name in wanted:
         if name not in CHECKS:
@@ -425,6 +434,7 @@ def cmd_stabilizer(config, setting, presentation, bounds, doc):
 
 
 def cmd_spherical(config, setting, presentation, bounds, doc):
+    _need_generators(presentation)
     reports = []
     e = sph.idempotent(setting)
     ok = (e * e) == e and all(

@@ -191,6 +191,20 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"terms": [{"num_exp": [5], "inf": [1]}]}]},
         "extra_generators[0].terms[0].num_exp (known: scalar, num_exps, "
         "den_exps, group, mu, inf)"))
+    # JSON true is an int to Python, but not an integer of the config
+    for doc, needle in [
+            ({"recipe": ore, "bounds": {"word_length": True}}, "bounds.word_length"),
+            ({"recipe": ore, "bounds": {"degree": True}}, "bounds.degree"),
+            ({"recipe": dict(rd, n=True, group="Z2")}, "recipe.n"),
+            ({"recipe": ore, "extra_generators": [
+                {"terms": [{"num_exps": [True]}]}]}, "num_exps[0]"),
+            ({"recipe": s2, "extra_generators": [
+                {"terms": [{"group": True}]}]}, "terms[0].group")]:
+        cases.append(("verify", doc, needle))
+    # no generator at all, where the certificates need one
+    for command in ("verify", "spherical"):
+        cases.append((command, {"recipe": s2, "generators": []},
+                      "generators: the list is empty"))
     # a check name that is not one of the checks, such as a typo
     cases.append(("verify", {"recipe": ore, "checks": ["preserve-lattice"]},
                   "'preserve-lattice' (known: preserves-lattice, identities, "
@@ -338,3 +352,11 @@ def test_generators_filter_unknown_name(tmp_path, capsys):
     })
     assert main(["verify", cfg]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+def test_extra_generators_alone_are_a_presentation(tmp_path):
+    cfg = write_config(tmp_path, {
+        "recipe": {"kind": "ore", "p": [1]}, "generators": [],
+        "bounds": {"degree": 1, "word_length": 1},
+        "extra_generators": [{"name": "d", "terms": [{"inf": [1]}]}]})
+    assert main(["verify", cfg, "--out", str(tmp_path / "r.json")]) == 0

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from hopfgalois import linalg
 from hopfgalois.catalog import (Cherednik, GKVHecke, RationalDifferential,
-                                build_setting, dunkl_operator)
-from hopfgalois.polyring import RatFunc
+                                build_setting, dunkl_operator,
+                                standard_generators)
+from hopfgalois.polyring import RatFunc, try_divide
 from hopfgalois.spherical import (idempotent, invariant_basis, is_invariant,
                                   morita_witness, psi, reynolds,
                                   spherical_axiom_check, symmetrize)
@@ -175,3 +177,63 @@ def test_psi_image_of_lattice_preserving_invariant_preserves_lattice():
         img = psi(X)
         for exps in S.ring.monomials_up_to(5):
             assert img.apply(RatFunc.of(S.ring.monomial(exps))).is_in_lattice()
+
+
+def brute_force_morita(presentation, word_length):
+    """The Morita witness from all |words|^2 products A_i e B_j, repeats and
+    zeros included, each key's coefficients cleared over an lcm-like
+    denominator: (status, witness) as ``morita_witness`` reports them."""
+    S = presentation.setting
+    ring = S.ring
+    zero = ring.params.zero
+    e = idempotent(S)
+    words = presentation.words(word_length)
+    products = [(an, bn, a * e * b) for an, a in words for bn, b in words]
+    columns = [p for _, _, p in products] + [S.one()]
+    rows = {}
+    for key in {k for p in columns for k in p.terms}:
+        coeffs = [p.terms.get(key) for p in columns]
+        den = ring.one
+        for c in coeffs:
+            if c is not None and try_divide(den, c.den) is None:
+                den = den * c.den
+        for j, c in enumerate(coeffs):
+            if c is None or c.is_zero():
+                continue
+            for exps, coeff in (c.num * try_divide(den, c.den)).terms.items():
+                row = rows.setdefault((key, exps), [zero] * len(columns))
+                row[j] = row[j] + coeff
+    sol = linalg.solve([r[:-1] for r in rows.values()],
+                       [r[-1] for r in rows.values()])
+    if sol is None:
+        return INCONCLUSIVE, {"words": len(words)}
+    return VERIFIED, {"combination": [[an, bn, str(c)] for c, (an, bn, _)
+                                      in zip(sol, products) if not c.is_zero()]}
+
+
+def _standard(recipe):
+    S = build_setting(recipe)
+    return OrderPresentation(S, standard_generators(S))
+
+
+def test_morita_witness_matches_brute_force():
+    # morita_witness forms products only over the first word of each distinct
+    # nonzero a*e and e*b; the full system must give the same report
+    sign = sign_setting()
+    x, d, s = (sign.from_ratfunc(sign.ring.var(0)), sign.inf_element(0),
+               sign.group_element(1))
+    rd_s2 = _standard(RationalDifferential(2, "S2"))
+    cases = [
+        (OrderPresentation(sign, [("x", x), ("d", d), ("s", s)]), 2),
+        (rd_s2, 1),
+        (rd_s2, 2),
+        (_standard(Cherednik(2, "S2")), 1),
+        (_standard(GKVHecke("A1", "multiplicative")), 2),
+        # the group element first, so that the word s*s repeats 1
+        (OrderPresentation(sign, [("s", s), ("x", x), ("d", d)]), 2),
+        (OrderPresentation(sign, [("s", s), ("x", x)]), 2),
+    ]
+    for pres, length in cases:
+        rep = morita_witness(pres, length)
+        assert (rep.status, rep.witness) == brute_force_morita(pres, length), \
+            (pres.names(), length)
