@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import catalog as cat
+from . import linalg
 from . import spherical as sph
 from .hcmod import (ModuleInputError, cyclic_module, scalar_module_check,
                     simple_quotient)
@@ -54,7 +55,7 @@ from .stabilizer import (PointIdeal, GrouplikeSpan, find_reductor,
                          verify_reductor)
 from .verify import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, OrderPresentation,
                      VerificationReport, fo_certificate, generation_witness,
-                     left_rank_oracle, max_commutative_probe,
+                     max_commutative_probe, normal_form_keys,
                      preserves_lattice, split_decompose)
 
 
@@ -200,6 +201,8 @@ def parse_extra_generator(setting, doc, idx):
             if power:
                 el = el * setting.inf_element(j, power)
         total = total + el.scale(coeff)
+    if total.is_zero():
+        raise UsageError("extra_generators[%d]: the terms sum to zero" % idx)
     return name, total
 
 
@@ -365,11 +368,12 @@ def cmd_verify(config, setting, presentation, bounds, doc):
             "lattice-splitting", COUNTEREXAMPLE if witness else VERIFIED,
             witness=witness, provenance="X = X(1) + X_- splits off the lattice summand"))
     if "fo-certificate" in wanted:
-        els = []
-        for g in presentation.elements():
-            if left_rank_oracle(els + [g]) == len(els) + 1:
-                els.append(g)
-        reports.append(fo_certificate(els, bounds["degree"]))
+        # the generators outside the left span of those before them
+        els = presentation.elements()
+        zero = RatFunc.of(setting.ring.zero)
+        _, pivots = linalg.row_reduce([[x.terms.get(k, zero) for x in els]
+                                       for k in normal_form_keys(els)])
+        reports.append(fo_certificate([els[j] for j in pivots], bounds["degree"]))
     if "generation" in wanted:
         reports.append(generation_witness(presentation,
                                           min(bounds["word_length"], 2)))

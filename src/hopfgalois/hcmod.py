@@ -292,20 +292,6 @@ def _point_index(points, coords):
     return None
 
 
-def _reduce_vec(ech_rows, pivots, vec):
-    """Subtract the echelon combination; returns (coords, residual).
-
-    Row k has a 1 at ``pivots[k]`` and zeros at the pivots before it."""
-    v = list(vec)
-    coords = []
-    for row, p in zip(ech_rows, pivots):
-        c = v[p]
-        coords.append(c)
-        if not c.is_zero():
-            v = [a if b.is_zero() else a - c * b for a, b in zip(v, row)]
-    return coords, v
-
-
 def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
     """The span of (generator words of length <= l) applied to the character.
 
@@ -384,7 +370,7 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
             vec = [entry.pop(k, zero) for k in keys]
             if any(not c.is_zero() for c in entry.values()):
                 leak = True
-            coords_, resid = _reduce_vec(basis, pivots, vec)
+            coords_, resid = linalg.reduce_vector(basis, pivots, vec)
             if any(not x.is_zero() for x in resid):
                 leak = True
             cols.append(coords_)
@@ -444,7 +430,7 @@ def simple_quotient(module, point):
         # column j of the quotient matrix is column keep[j] of M, reduced
         cols = []
         for j in keep:
-            _, resid = _reduce_vec(U, upiv, [M[i][j] for i in range(d)])
+            _, resid = linalg.reduce_vector(U, upiv, [row[j] for row in M])
             cols.append([resid[i] for i in keep])
         return [list(row) for row in zip(*cols)]
 
@@ -491,11 +477,7 @@ def _closure(params, matrices, basis):
     pivot 1) and is multiplied by each matrix once."""
     rows, pivots, queue = [], [], list(basis)
     while queue:
-        _, v = _reduce_vec(rows, pivots, queue.pop())
-        p = next((k for k, c in enumerate(v) if not c.is_zero()), None)
-        if p is not None:
-            rows.append([c if c.is_zero() else c / v[p] for c in v])
-            pivots.append(p)
+        if linalg.extend(rows, pivots, queue.pop()):
             queue.extend(_mat_vec(params, M, rows[-1]) for M in matrices)
     return rows
 

@@ -163,7 +163,7 @@ def morita_witness(presentation, word_length):
     for rk in all_rows:
         matrix.append(rows_by_mono.get(rk, [params.zero] * len(products)))
         rhs.append(rhs_by_mono.get(rk, params.zero))
-    sol = linalg.solve(matrix, rhs) if matrix else None
+    sol = linalg.solve(matrix, [rhs])[0] if matrix else None
     if sol is None:
         return report(INCONCLUSIVE, {"words": len(words)})
     combo = []

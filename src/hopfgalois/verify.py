@@ -197,7 +197,8 @@ def left_rank_oracle(elements):
     """Rank of the coefficient matrix of the elements over the fraction field.
 
     Independent of the evaluation route: linear independence is read off
-    the normal-form coefficients directly.
+    the normal-form coefficients directly.  The tests' oracle; no CLI path
+    calls it (``verify`` picks its generators by one ``row_reduce``).
     """
     keys = normal_form_keys(elements)
     if not keys:
@@ -212,8 +213,9 @@ def fo_certificate(elements, degree_bound):
     """Evaluation-points certificate of left linear independence.
 
     Scans lattice monomials in graded order (constant first), greedily
-    keeping columns a_j that increase the rank of (X_i(a_j)); succeeds when
-    the square matrix turns nonsingular and returns its exact determinant.
+    keeping columns a_j that increase the rank of (X_i(a_j)): one echelon
+    form of the kept columns grows by ``linalg.extend``.  Succeeds when the
+    square matrix turns nonsingular and returns its exact determinant.
     """
     report = partial(VerificationReport, "fo-certificate",
                      bounds={"degree": degree_bound},
@@ -224,14 +226,11 @@ def fo_certificate(elements, degree_bound):
     S = elements[0].setting
     ring = S.ring
     n = len(elements)
-    chosen = []
-    columns = []
+    chosen, columns, echelon, pivots = [], [], [], []
     for exps in ring.monomials_up_to(degree_bound, include_negative=True):
         m = RatFunc.of(ring.monomial(exps))
         col = [x.apply(m) for x in elements]
-        trial = columns + [col]
-        rows = [[trial[j][i] for j in range(len(trial))] for i in range(n)]
-        if linalg.rank(rows) == len(trial):
+        if linalg.extend(echelon, pivots, col):
             columns.append(col)
             chosen.append(exps)
             if len(columns) == n:
@@ -248,8 +247,9 @@ def generation_witness(presentation, word_length=2):
     generator words: the sufficient witness that the order spans the whole
     smash product over the fraction field.
 
-    Solves exactly over the fraction field; inconclusive-at-bound when the
-    word pool is too short.
+    Solves exactly over the fraction field, one elimination of the word
+    columns for all targets; inconclusive-at-bound, naming the first target
+    outside the words' span, when the word pool is too short.
     """
     report = partial(VerificationReport, "generation-witness",
                      bounds={"word-length": word_length},
@@ -266,12 +266,12 @@ def generation_witness(presentation, word_length=2):
     if not targets:
         return report(VERIFIED, {"note": "no coideal generators beyond the lattice"})
     zero = RatFunc.of(ring.zero)
+    keys = normal_form_keys([w for _, w in words] + [t for _, t in targets])
+    matrix = [[w.terms.get(k, zero) for _, w in words] for k in keys]
+    sols = linalg.solve(matrix, [[t.terms.get(k, zero) for k in keys]
+                                 for _, t in targets])
     combos = {}
-    for tname, target in targets:
-        keys = normal_form_keys([w for _, w in words] + [target])
-        matrix = [[w.terms.get(k, zero) for _, w in words] for k in keys]
-        rhs = [target.terms.get(k, zero) for k in keys]
-        sol = linalg.solve(matrix, rhs)
+    for (tname, _), sol in zip(targets, sols):
         if sol is None:
             return report(INCONCLUSIVE, {"unreached": tname})
         combos[tname] = [[wname, str(c)] for (wname, _), c in zip(words, sol)

@@ -4,10 +4,12 @@ Every check is tolerance-zero; each test prints a PASS line with its
 elapsed time and asserts the stated per-criterion runtime budget.
 """
 
+import argparse
 import random
 import time
 import zlib
 
+from hopfgalois import cli
 from hopfgalois.catalog import (Cherednik, GKVHecke, OreFamily, QuantumBorel,
                                 RationalDifferential, ShiftFlag,
                                 TrigonometricDifferential, build_setting,
@@ -23,9 +25,10 @@ from hopfgalois.spherical import (idempotent, morita_witness, psi,
 from hopfgalois.stabilizer import (GrouplikeSpan, PointIdeal, find_reductor,
                                    finiteness_predicate, fixes_point,
                                    full_group_span, stab_group, verify_reductor)
-from hopfgalois.verify import (VERIFIED, OrderPresentation, fo_certificate,
-                               left_rank_oracle, max_commutative_probe,
-                               split_decompose, weight_fiber_witness)
+from hopfgalois.verify import (VERIFIED, OrderPresentation, VerificationReport,
+                               fo_certificate, left_rank_oracle,
+                               max_commutative_probe, split_decompose,
+                               weight_fiber_witness)
 
 
 def _report(label, t0, budget):
@@ -147,7 +150,30 @@ def test_criterion_4_splitting_and_maximal_commutativity():
             t0, 30)
 
 
-def test_criterion_5_fo_certificates():
+def _oracle_independent(elements):
+    """A maximal left-independent subset, picked greedily by the rank oracle."""
+    els = []
+    for g in elements:
+        if left_rank_oracle(els + [g]) == len(els) + 1:
+            els.append(g)
+    return els
+
+
+def _verify_preselection(monkeypatch, setting, presentation):
+    """The generators ``verify`` hands to ``fo_certificate``, by identity."""
+    picked = []
+
+    def record(els, degree):
+        picked.append(els)
+        return VerificationReport("fo-certificate", VERIFIED)
+
+    monkeypatch.setattr(cli, "fo_certificate", record)
+    cli.cmd_verify({"checks": ["fo-certificate"]}, setting, presentation,
+                   {"degree": 1}, {})
+    return [id(g) for g in picked[0]]
+
+
+def test_criterion_5_fo_certificates(monkeypatch):
     t0 = time.time()
     for recipe in ALL_SETTINGS:
         S = build_setting(recipe)
@@ -155,12 +181,12 @@ def test_criterion_5_fo_certificates():
         # a maximal left-independent subset of the generators (the lattice
         # contributes one representative; a Demazure operator is already an
         # L-combination of 1 and its reflection), picked by the rank oracle
-        els = []
-        for name, g in named:
-            if left_rank_oracle(els + [g]) == len(els) + 1:
-                els.append(g)
+        els = _oracle_independent([g for _, g in named])
         assert len(els) >= 2, S.name
         assert left_rank_oracle(els) == len(els)
+        # verify picks the same generators by one elimination
+        assert _verify_preselection(monkeypatch, S, OrderPresentation(S, named)) \
+            == [id(g) for g in els], S.name
         rep = fo_certificate(els, 4)
         assert rep.status == VERIFIED, S.name
         # the witness is a replayable nonzero determinant
@@ -169,6 +195,15 @@ def test_criterion_5_fo_certificates():
         dependent = els + [els[0].scale(RatFunc.of(S.ring.var(0)))]
         assert left_rank_oracle(dependent) == len(els)
         assert fo_certificate(dependent, 2).status != VERIFIED
+    # an extra generator x1*s1 in the left span of the standard s1
+    S, pres, _ = cli.build_from_config(
+        {"recipe": {"kind": "rational-differential", "n": 2, "group": "S2"},
+         "extra_generators": [{"terms": [{"num_exps": [1, 0], "group": 1}]}]},
+        argparse.Namespace())
+    gens = pres.elements()
+    els = _oracle_independent(gens)
+    assert not any(g is gens[-1] for g in els)
+    assert _verify_preselection(monkeypatch, S, pres) == [id(g) for g in els]
     _report("criterion 5: determinant certificates with rank cross-check",
             t0, 30)
 

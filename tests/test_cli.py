@@ -205,6 +205,12 @@ def test_verify_malformed_config(tmp_path, capsys):
     for command in ("verify", "spherical"):
         cases.append((command, {"recipe": s2, "generators": []},
                       "generators: the list is empty"))
+    # an extra generator whose terms sum to zero, given as zero or cancelling
+    for terms in ([{"scalar": "0"}], [{"inf": [1]}, {"scalar": "-1", "inf": [1]}]):
+        cases.append(("verify", {"recipe": dict(rd, group="Z2"), "generators": [],
+                                 "extra_generators": [{"terms": terms}],
+                                 "checks": ["fo-certificate"]},
+                      "extra_generators[0]: the terms sum to zero"))
     # a check name that is not one of the checks, such as a typo
     cases.append(("verify", {"recipe": ore, "checks": ["preserve-lattice"]},
                   "'preserve-lattice' (known: preserves-lattice, identities, "

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopfgalois import linalg
 from hopfgalois.params import ParamElem, ParamField
@@ -45,11 +45,21 @@ def sparse_matrices(draw, square=False):
 
 @st.composite
 def sparse_systems(draw):
-    """A sparse matrix and a right-hand side; a blanked row with a nonzero
-    right-hand side makes the system inconsistent."""
+    """A sparse matrix and one to three right-hand sides.  A side is either
+    drawn entry by entry (a blanked row with a nonzero entry there makes it
+    inconsistent) or is A times a drawn vector (always consistent), so one
+    system can mix consistent and inconsistent sides."""
     rows = draw(sparse_matrices())
-    rhs = [draw(st.one_of(st.just(Fraction(0)), nonzero)) for _ in rows]
-    return rows, rhs
+    entry = st.one_of(st.just(Fraction(0)), nonzero)
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = [draw(entry) for _ in rows[0]]
+            columns.append([sum((a * b for a, b in zip(row, x)), Fraction(0))
+                            for row in rows])
+        else:
+            columns.append([draw(entry) for _ in rows])
+    return rows, columns
 
 
 def to_params(rows):
@@ -94,20 +104,39 @@ def test_row_reduce_rank_and_nullspace_match_sympy(rows):
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_systems())
+# rank 1 of 2 rows: the middle side is inconsistent, the outer two are not
+@example(([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]],
+          [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
+           [Fraction(2), Fraction(0)]]))
 def test_solve_matches_sympy(system):
-    rows, rhs = system
-    x = linalg.solve(to_params(rows), [PF.from_fraction(b) for b in rhs])
+    rows, columns = system
+    xs = linalg.solve(to_params(rows), [[PF.from_fraction(b) for b in col]
+                                        for col in columns])
+    assert len(xs) == len(columns)
     a = to_sympy(rows)
-    b = to_sympy([[v] for v in rhs])
-    try:
-        sol, free = a.gauss_jordan_solve(b)
-    except ValueError:
-        assert x is None
-        return
-    # the particular solution with every free variable zero
-    sol = sol.subs({t: 0 for t in free})
-    assert x is not None
-    assert [value(v) for v in x] == sympy_values(sol.T)[0]
+    for x, col in zip(xs, columns):
+        try:
+            sol, free = a.gauss_jordan_solve(to_sympy([[v] for v in col]))
+        except ValueError:
+            assert x is None
+            continue
+        # the particular solution with every free variable zero
+        sol = sol.subs({t: 0 for t in free})
+        assert x is not None
+        assert [value(v) for v in x] == sympy_values(sol.T)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_extend_keeps_the_pivot_columns(rows):
+    """Fed the columns one at a time, ``extend`` accepts exactly the pivot
+    columns of the reduced echelon form."""
+    echelon, pivots, kept = [], [], []
+    for j, col in enumerate(zip(*to_params(rows))):
+        if linalg.extend(echelon, pivots, list(col)):
+            kept.append(j)
+    assert kept == list(to_sympy(rows).rref()[1])
+    assert len(echelon) == len(pivots) == len(kept)
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,13 +163,15 @@ def test_elimination_does_no_arithmetic_on_zeros(monkeypatch):
             [1, 0, 0, 0, 0],
             [0, 4, 0, 0, 0]]
     matrix = to_params([[Fraction(x) for x in row] for row in rows])
-    rhs = [PF.from_fraction(Fraction(b)) for b in (1, 0, 2, 1)]
+    columns = [[PF.from_fraction(Fraction(b)) for b in rhs]
+               for rhs in ((1, 0, 2, 1), (3, 6, 0, 4))]
     square = to_params([[Fraction(x) for x in row]
                         for row in ([2, 0, 0, 1], [0, 0, 3, 0],
                                     [1, 0, 0, 0], [0, 5, 0, 1])])
     monkeypatch.setattr(ParamElem, "__mul__", guarded(mul))
     monkeypatch.setattr(ParamElem, "__truediv__", guarded(div))
-    x = linalg.solve(matrix, rhs)
+    x, y = linalg.solve(matrix, columns)
     assert [value(v) for v in x] == [2, Fraction(1, 4), 0, 0, Fraction(1, 2)]
+    assert [value(v) for v in y] == [0, 1, 0, 2, 1]
     assert value(linalg.det(square)) == -15
     assert len(linalg.nullspace(matrix)) == 1

@@ -203,8 +203,8 @@ def brute_force_morita(presentation, word_length):
             for exps, coeff in (c.num * try_divide(den, c.den)).terms.items():
                 row = rows.setdefault((key, exps), [zero] * len(columns))
                 row[j] = row[j] + coeff
-    sol = linalg.solve([r[:-1] for r in rows.values()],
-                       [r[-1] for r in rows.values()])
+    (sol,) = linalg.solve([r[:-1] for r in rows.values()],
+                          [[r[-1] for r in rows.values()]])
     if sol is None:
         return INCONCLUSIVE, {"words": len(words)}
     return VERIFIED, {"combination": [[an, bn, str(c)] for c, (an, bn, _)

@@ -15,8 +15,8 @@ from hopfgalois.verify import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
                                OrderPresentation, center_membership,
                                fo_certificate, generation_witness,
                                left_rank_oracle, max_commutative_probe,
-                               preserves_lattice, split_decompose,
-                               weight_fiber_witness)
+                               normal_form_keys, preserves_lattice,
+                               split_decompose, weight_fiber_witness)
 
 
 def tsq_presentation():
@@ -265,3 +265,15 @@ def test_generation_witness_inconclusive_without_operator():
         "witness": {"unreached": "d"}, "bounds": {"word-length": 2},
         "provenance": "every coideal generator is reachable as an "
                       "L-combination of order elements"}
+
+
+def test_generation_witness_unreached_inside_the_word_keys():
+    # X = g + d1 on Q[x1] # Z2: the words 1, X and X^2 = d1^2 + 1 carry the
+    # key of g, but no L-combination of them is g alone
+    S = build_setting(RationalDifferential(1, "Z2"))
+    pres = OrderPresentation(S, [("X", S.group_element(1) + S.inf_element(0))])
+    word_keys = set(normal_form_keys([w for _, w in pres.words(2)]))
+    assert set(S.group_element(1).terms) <= word_keys
+    rep = generation_witness(pres, 2)
+    assert rep.status == INCONCLUSIVE
+    assert rep.witness == {"unreached": "g"}
