@@ -108,9 +108,10 @@ class PolyRing:
 
 
 class Poly(Ring):
-    """Sparse polynomial; zero coefficients are never stored (see ``sparse``)."""
+    """Sparse polynomial; zero coefficients are never stored (see ``sparse``).
+    ``terms`` is never written after construction; ``gp_act`` sets ``_images``."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_images")
 
     def __init__(self, ring, terms, _clean=False):
         self.ring = ring
@@ -256,13 +257,17 @@ def try_divide(num, den):
 
     Both arguments may have Laurent support; the division itself runs on
     monomial-shifted copies with nonnegative exponents, where graded-lex
-    term division is a complete divisibility test.
+    term division is a complete divisibility test.  Exponent spans (max - min)
+    add under multiplication: a smaller span than den's is rejected first.
     """
     ring = num.ring
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return ring.zero
+    spans = [[max(col) - min(col) for col in zip(*p.terms)] for p in (num, den)]
+    if any(a < b for a, b in zip(*spans)):
+        return None
     smin_n = num.min_exponents()
     smin_d = den.min_exponents()
     shift_n = tuple(-min(x, 0) for x in smin_n)
@@ -296,7 +301,7 @@ class RatFunc(Field):
     the numerator cancels.  Denominators are never gcd-reduced beyond this.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_images")  # ``_images`` as on ``Poly``
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:

@@ -12,6 +12,10 @@ Three rewriting rules realize the cross relation:
 plus conjugation tables  w * E * w^-1 = sum c * E'  for moving monomials
 past group parts.  Shift parts are assumed to commute with all
 infinitesimal generators (true for every translation action used here).
+
+A product forms each term once: each push of E^alpha once per product, each
+group image g |> f once per value f (memoised on f), and no product by 1.
+The left normal form is unique, so equality compares term by term.
 """
 
 from __future__ import annotations
@@ -201,10 +205,18 @@ class Setting:
         return images
 
     def gp_act(self, a, value):
-        """(w, mu) |> f, w after mu, by one substitution; a Poly gives a Poly."""
+        """(w, mu) |> f, w after mu, by one substitution; a Poly gives a Poly.
+        Memoised on the (immutable) value under (setting, a): settings can
+        share a ring.  The image lives exactly as long as the value."""
         if self.gp_is_identity(a):
             return value
-        return value.substitute(self.gp_images(a))
+        images = getattr(value, "_images", None)
+        if images is None:
+            images = value._images = {}
+        image = images.get((self, a))
+        if image is None:
+            image = images[(self, a)] = value.substitute(self.gp_images(a))
+        return image
 
     def gp_name(self, a):
         parts = []
@@ -287,7 +299,8 @@ class Setting:
     def validate(self):
         """Exact checks of the declared data (the substitutions on every
         group pair, the conjugation table, an associativity sample); raises
-        on inconsistency."""
+        on inconsistency.  The sample's pairwise products are formed once,
+        then (xy)z = x(yz) is checked on every triple."""
         ring = self.ring
         n = self.group_size
         for i in range(n):
@@ -327,10 +340,11 @@ class Setting:
             sample.append(self.group_element(1))
         if self.inf_gens:
             sample.append(self.inf_element(0))
-        for x in sample:
-            for y in sample:
-                for z in sample:
-                    if (x * y) * z != x * (y * z):
+        pairs = [[x * y for y in sample] for x in sample]
+        for i, x in enumerate(sample):
+            for j in range(len(sample)):
+                for k, z in enumerate(sample):
+                    if pairs[i][j] * z != x * pairs[j][k]:
                         raise ValueError("cross relations are inconsistent")
         return True
 
@@ -394,23 +408,32 @@ class SmashElement(Ring):
     # -- multiplication --------------------------------------------------------
 
     def __mul__(self, other):
+        """The product, pair of terms by pair of terms: E^a1 f2 is pushed once
+        per (a1, right term); a factor f1 or conjugation coefficient equal to
+        1 is skipped, as x * 1 is structurally x, so the terms are the same."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         S = self.setting
         out = {}
+        right = list(other.terms.items())
+        pushes = {}
         for (g1, a1), f1 in self.terms.items():
-            for (g2, a2), f2 in other.terms.items():
-                pushed = self._push_left(a1, f2)
+            if a1 not in pushes:
+                pushes[a1] = [self._push_left(a1, f2) for _, f2 in right]
+            f1_is_one = f1.den.is_one() and f1.num.is_one()
+            for ((g2, a2), _), pushed in zip(right, pushes[a1]):
+                g = S.gp_mul(g1, g2)
                 for beta, c in pushed.items():
                     conj = S.conj_monomial(S.group_inv[g2.w], beta)
-                    coeff_base = f1 * S.gp_act(g1, c)
+                    coeff_base = S.gp_act(g1, c)
+                    if not f1_is_one:
+                        coeff_base = f1 * coeff_base
                     if coeff_base.is_zero():
                         continue
-                    g = S.gp_mul(g1, g2)
                     for gamma, e in conj.items():
                         add_into(out, (g, tuple(x + y for x, y in zip(gamma, a2))),
-                                 coeff_base * e)
+                                 coeff_base if e.is_one() else coeff_base * e)
         return SmashElement(S, out, _clean=True)
 
     def __rmul__(self, other):
@@ -444,10 +467,14 @@ class SmashElement(Ring):
         return out
 
     def __eq__(self, other):
+        """Term by term, as the left normal form is unique and stores no zero:
+        the same keys, and coefficients equal by ``RatFunc ==``."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        theirs = other.terms
+        return self.terms.keys() == theirs.keys() and \
+            all(c == theirs[k] for k, c in self.terms.items())
 
     # -- the hat map and normal forms -------------------------------------------
 

@@ -308,3 +308,42 @@ def test_sums_over_products_of_linear_forms_match_sympy(na, nb, da, extra, neste
     if try_divide(a.den, b.den) is not None or try_divide(b.den, a.den) is not None:
         bound = max(_degree(a.den), _degree(b.den))
     assert _degree(total.den) <= bound
+
+
+# -- the lattice test ----------------------------------------------------------
+
+def _without_z_factor(p):
+    # z is a unit in R, so divisibility there is divisibility in QQ(q)[x, z]
+    # once each side is shifted to its lowest z power: den is then prime to z
+    # (and a RatFunc denominator, which try_divide is given, is stored so)
+    return p.shift_monomial((0, -p.min_exponents()[1]))
+
+
+nonzero_numerators = numerators.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_numerators, nonzero_numerators, form_lists, form_lists, st.booleans())
+def test_try_divide_is_none_exactly_when_sympy_leaves_a_remainder(a, b, forms, more,
+                                                                   multiple):
+    # a multiple of den, or a numerator drawn on its own: often of a smaller
+    # exponent span than den in x or z, which is rejected before dividing
+    den = _without_z_factor(b * _product(forms))
+    num = a * _product(more) * (den if multiple else R.one)
+    quotient = try_divide(num, den)
+    _, rem = sympy.div(_sympy_poly(_without_z_factor(num)), _sympy_poly(den), SX, SZ,
+                       domain="QQ(q)")
+    assert (quotient is None) == (rem != 0)
+    if quotient is not None:
+        assert quotient * den == num
+
+
+def test_a_smaller_exponent_span_is_rejected_before_dividing(monkeypatch):
+    x, z = R.var(0), R.var(1)
+    monkeypatch.setattr(type(x), "leading", _refuse)
+    # spans (1, 1) against (2, 0), and (0, 1) against (0, 3) with Laurent support
+    assert try_divide(x * z + 1, x ** 2 - 1) is None
+    assert try_divide(z + 3, z ** 2 - z ** -1) is None
+    monkeypatch.undo()
+    assert try_divide(x * z + 1, x * z - 1) is None  # equal spans: divided
+    assert try_divide(z ** 2 - z ** -1, z ** 3 - 1) == z ** -1

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hopfgalois.catalog import (Cherednik, GKVHecke, OreFamily, QuantumBorel,
                                 RationalDifferential, ShiftFlag, build_setting,
                                 dunkl_operator, quantum_borel_E)
-from hopfgalois.polyring import Poly, RatFunc
+from hopfgalois.polyring import Poly, PolyRing, RatFunc
+from hopfgalois.smash import Setting, SmashElement
+from hopfgalois.sparse import add_into
 from hopfgalois.stabilizer import full_group_span
 
 
@@ -99,6 +101,130 @@ def test_mul_associative_randomized():
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+
+
+def _reference_product(x, y):
+    # the plain pair loop: every push, group image and coefficient product is
+    # formed afresh for each pair of terms, with no memo and no skipped unit
+    S = x.setting
+    out = {}
+    for (g1, a1), f1 in x.terms.items():
+        for (g2, a2), f2 in y.terms.items():
+            for beta, c in x._push_left(a1, f2).items():
+                conj = S.conj_monomial(S.group_inv[g2.w], beta)
+                img = c if S.gp_is_identity(g1) else c.substitute(S.gp_images(g1))
+                coeff_base = f1 * img
+                if coeff_base.is_zero():
+                    continue
+                g = S.gp_mul(g1, g2)
+                for gamma, e in conj.items():
+                    add_into(out, (g, tuple(u + v for u, v in zip(gamma, a2))),
+                             coeff_base * e)
+    return SmashElement(S, out, _clean=True)
+
+
+def _items(el):
+    # every dict of the element in its stored order, down to the parameters
+    def poly(p):
+        return [(e, list(c.num.items()), list(c.den.items())) for e, c in p.terms.items()]
+    return [(k, poly(c.num), poly(c.den)) for k, c in el.terms.items()]
+
+
+# Cherednik Z2 and rational-differential Z3 have conjugation coefficients
+# other than 1 (-1, and zeta3 over Q(zeta3)); quantum-borel has a twisted
+# generator, shift-flag S2 shift parts and GKV A2 Laurent variables.
+PRODUCT_RECIPES = [Cherednik(3, "S3"), Cherednik(1, "Z2"), RationalDifferential(1, "Z3"),
+                   QuantumBorel(), ShiftFlag(2, "S2"), GKVHecke("A2", "multiplicative")]
+
+
+@pytest.mark.parametrize("recipe", PRODUCT_RECIPES, ids=lambda r: type(r).__name__)
+def test_product_matches_the_plain_pair_loop(recipe):
+    S = build_setting(recipe)
+    ring = S.ring
+    rng = random.Random(31)
+    xs = [RatFunc.of(ring.var(v)) for v in range(ring.nvars)]
+    one = RatFunc.of(ring.one)
+    coeffs = [one, one, -one, one * 2] + xs + [x * x - x + 3 for x in xs] + \
+        [one / (x + 2) for x in xs] + [(x + 1) / (xs[-1] - 3) for x in xs]
+    if ring.params.names:
+        coeffs.append(one * ring.params.param(ring.params.names[0]))
+    pool = [S.one()] + [S.from_ratfunc(x) for x in xs] + \
+        [S.group_element(w) for w in range(1, S.group_size)] + \
+        [S.inf_element(g) for g in range(len(S.inf_gens))] + \
+        [S.group_element(S.group_size - 1) * S.inf_element(g, 2)
+         for g in range(len(S.inf_gens))] + [op for _, op in recipe.operators(S)]
+    if S.monoid_rank:
+        pool.append(S.group_element(1, (1, -1)))
+
+    def element():
+        return sum((rng.choice(pool).scale(rng.choice(coeffs))
+                    for _ in range(rng.randint(1, 3))), S.zero())
+
+    for _ in range(20):
+        x, y = element(), element()
+        product, reference = x * y, _reference_product(x, y)
+        assert str(product) == str(reference)
+        assert _items(product) == _items(reference)
+
+
+# -- equality -------------------------------------------------------------------
+
+
+def test_equality_compares_coefficients_not_their_printing():
+    S = build_setting(RationalDifferential(3, "S3"))
+    x1, x2, x3 = (RatFunc.of(S.ring.var(v)) for v in range(3))
+    s = S.group_element(1)
+    unreduced = RatFunc((x1.num + x2.num) * (x1.num - x2.num),
+                        (x1.num - x2.num) * (x1.num - x3.num))
+    reduced = (x1 + x2) / (x1 - x3)
+    assert str(unreduced) != str(reduced)
+    a = s.scale(unreduced) + S.inf_element(0)
+    b = S.inf_element(0) + s.scale(reduced)
+    assert a == b and b == a
+    assert a != s.scale(reduced)  # a key of a missing from the other side
+    assert s.scale(reduced) != a
+    assert a != a + S.group_element(2).scale(x1)  # a key only on the right
+    assert s.scale(reduced) != S.group_element(2).scale(reduced)  # as many keys
+    # equal keys, one coefficient off
+    assert a != s.scale(reduced) + S.inf_element(0).scale(x2)
+    # a RatFunc, a Poly or a constant is compared through _coerce
+    assert S.from_ratfunc(unreduced) == reduced
+    assert S.from_ratfunc(unreduced) != x1
+    assert S.from_ratfunc(x1) == S.ring.var(0)
+    assert S.from_const(3) == 3 and S.one() == 1 and S.zero() == 0
+    assert S.one() != 2
+
+
+# -- the group-image memo ----------------------------------------------------------
+
+
+def test_group_image_is_substituted_once_per_value_and_setting(monkeypatch):
+    ring = PolyRing(("x1", "x2"))
+    x1, x2 = ring.var(0), ring.var(1)
+    table = dict(group_mult=[[0, 1], [1, 0]], group_inv=[0, 1], group_names=["e", "s"])
+    swap = Setting(ring, group_subs=[{}, {0: x2, 1: x1}], **table)
+    negate = Setting(ring, group_subs=[{}, {0: -x1}], **table)
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(self, images):
+        calls.append(self)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    f = x1 + x2 * 2
+    s = swap.gp(1)
+    assert swap.gp_act(s, f) is swap.gp_act(s, f) and len(calls) == 1
+    assert swap.gp_act(swap.identity_gp(), f) is f and len(calls) == 1
+    # the same value and group part under a setting sharing the ring
+    assert negate.gp(1) == s
+    assert negate.gp_act(s, f) == -x1 + x2 * 2 and len(calls) == 2
+    assert swap.gp_act(s, f) == x2 + x1 * 2 and len(calls) == 2
+    # a RatFunc substitutes its numerator and its denominator, once
+    r = RatFunc(f, x1 + 1)
+    assert swap.gp_act(s, r) == swap.gp_act(s, r) and len(calls) == 4
+    # an equal but distinct value has no image yet
+    assert swap.gp_act(s, x1 + x2 * 2) == x2 + x1 * 2 and len(calls) == 5
 
 
 # -- the hat map ---------------------------------------------------------------
