@@ -23,6 +23,7 @@ CASES = {
     "cherednik-s2-verify": ("verify", [], 0),
     "cherednik-s2-spherical": ("spherical", [], 0),
     "cherednik-s3-verify": ("verify", [], 0),
+    "cherednik-s2-module": ("module", ["--allow-truncation"], 0),
     "rational-differential-z3-module": ("module", ["--allow-truncation"], 0),
     "trigonometric-inversion-verify": ("verify", [], 0),
     "trigonometric-inversion-module": ("module", ["--allow-truncation"], 0),

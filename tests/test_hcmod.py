@@ -6,7 +6,8 @@ import pytest
 
 from hopfgalois import linalg
 from hopfgalois.catalog import (Cherednik, OreFamily, QuantumBorel,
-                                RationalDifferential, ShiftFlag, build_setting,
+                                RationalDifferential, ShiftFlag,
+                                TrigonometricDifferential, build_setting,
                                 ore_generator, standard_generators)
 from hopfgalois.hcmod import (DistributionVector, cyclic_closure_dims,
                               cyclic_module, distribution_action,
@@ -50,20 +51,34 @@ def test_weyl_delta_ladder():
         assert dd == delta(S, k + 1)
 
 
-def test_action_matches_pairing_oracle():
-    # (X xi)(f) = xi(X(f)) checked by direct evaluation on monomials
-    pres = weyl_presentation()
-    S = pres.setting
-    rng = random.Random(31)
-    ops = [g for _, g in pres.generators]
-    for _ in range(30):
-        X = rng.choice(ops) * rng.choice(ops)
-        k = rng.randint(0, 3)
-        xi = delta(S, k)
-        Xxi, leak = distribution_action(X, xi, 10)
-        for j in range(6):
-            f = RatFunc.of(S.ring.monomial((j,)))
-            assert Xxi.evaluate(f) == xi.evaluate(X.apply(f))
+@pytest.mark.parametrize("recipe, coords", [
+    (OreFamily((1,)), (0,)),
+    (RationalDifferential(2, "Z3"), (1, 2)),
+    (ShiftFlag(2, "S2"), (2, 5)),
+    (TrigonometricDifferential(1, "inversion"), (2,)),
+    (OreFamily((0, 0, 1)), (3,)),
+    (Cherednik(2, "S2"), (1, 3)),
+], ids=["weyl", "rational-differential-z3", "shift-flag-s2",
+        "trigonometric-inversion", "ore-t-squared", "cherednik-s2"])
+def test_action_matches_pairing_oracle(recipe, coords):
+    # (X xi)(f) = xi(X(f)) checked by direct evaluation on monomials, for
+    # products X of two standard generators on derivative deltas: every
+    # multiplication, group and primitive dual, with headroom for no leak
+    S = build_setting(recipe)
+    ring = S.ring
+    point = tuple(ring.params.from_fraction(c) for c in coords)
+    ops = [g for _, g in standard_generators(S)]
+    monomials = [RatFunc.of(ring.monomial(e))
+                 for e in ring.monomials_up_to(2, include_negative=True)]
+    for index in ring.monomials_up_to(2):
+        xi = DistributionVector.derivative_delta(ring, point, index)
+        for A in ops:
+            for B in ops:
+                X = A * B
+                Xxi, leak = distribution_action(X, xi, 8)
+                assert not leak
+                for f in monomials:
+                    assert Xxi.evaluate(f) == xi.evaluate(X.apply(f))
 
 
 def test_lattice_elements_act_by_weights_on_characters():
