@@ -3,12 +3,12 @@
 A distribution is a finitely supported functional on the lattice built
 from Taylor coefficients at points: the table entry (p, a) -> c means
 c * (the coefficient functional f -> jet of f at p, index a).  The
-opposite algebra acts by (X xi)(f) = xi(X(f)); multiplication duals
-convolve with the jet of the coefficient, group parts transport support
-points along the inverse automorphism, and untwisted primitives act
-through their value jets.  Everything is exact; jets are truncated at a
-declared order, and any dropped nonzero coefficient raises a flag that is
-reported, never silently discarded.
+opposite algebra acts by (X xi)(f) = xi(X(f)) = (xi o L)(f), pulled back
+along the maps L of jets that a term's parts induce: multiplication by the
+coefficient's jet, composition with the group images' jets (which moves
+the point) and the derivations of untwisted primitives.  Everything is
+exact; jets are truncated at a declared order, and any dropped nonzero
+coefficient raises a flag that is reported, never silently discarded.
 
 One closure loop, ``_closure`` (a span closed under matrices), serves the
 cyclic submodules, the generation test of local finiteness and the simple
@@ -114,8 +114,37 @@ class DistributionVector:
         return signed_sum(terms)
 
 
+def _pull_back(ring, table, order, image):
+    """The functional sum_a T[a] [h^a] composed with a linear map L on jets:
+    T'[b] = sum_a T[a] * L(h^b)[a] for |b| <= order, where ``image(b)`` is
+    the jet L(h^b).  Each T'[b] adds its terms in the order of T."""
+    out = {}
+    for b in ring.monomials_up_to(order):
+        terms = image(b).coeffs
+        for a, c in table.items():
+            if a in terms:
+                add_into(out, b, c * terms[a])
+    return out
+
+
+def _times(jet, e):
+    """jet * h^e, truncated at the jet's order."""
+    return Jet(jet.ring, jet.order,
+               {tuple(x + y for x, y in zip(a, e)): c for a, c in jet.coeffs.items()})
+
+
+def _lower(e, v):
+    """The exponent e - e_v."""
+    return tuple(x - (k == v) for k, x in enumerate(e))
+
+
 def distribution_action(element, xi, jet_order):
     """The opposite-algebra action (X xi)(f) = xi(X(f)), truncated at jet_order.
+
+    For a term c g E^alpha and an entry xi = sum_a T[a] [h^a] at p, X xi is
+    xi o L for three maps of jets applied in turn: multiplication by the jet
+    of c at p; composition with the jets of the group images at p, which
+    moves the support to q = g(p); and each derivation E at q.
 
     Returns (vector, leaked): ``leaked`` reports that a nonzero coefficient
     beyond the jet order was dropped.  Twisted (skew-primitive) generators
@@ -124,91 +153,51 @@ def distribution_action(element, xi, jet_order):
     """
     S = element.setting
     ring = S.ring
-    for (gp, alpha), _ in element.terms.items():
-        for j, power in enumerate(alpha):
-            if power and S.inf_gens[j].twist is not None:
-                raise NotImplementedError(
-                    "distribution transport is implemented for grouplike, shift, "
-                    "and primitive parts only")
+    if any(power and S.inf_gens[j].twist is not None
+           for _, alpha in element.terms for j, power in enumerate(alpha)):
+        raise NotImplementedError("distribution transport is implemented for "
+                                  "grouplike, shift, and primitive parts only")
     result = DistributionVector(ring, [])
     leaked = False
     for (gp, alpha), coeff in element.sorted_terms():
         for coords, table in xi.entries:
             order = max(sum(a) for a in table)
-            # multiplication dual at the original point
             if coeff.den.evaluate(coords).is_zero():
                 raise ModuleInputError("has a pole at %s"
                                        % PointIdeal(ring, coords).label())
-            tab = {}
             jc = taylor_jet(coeff, coords, order)
-            for a, ca in table.items():
-                for b, cb in jc.coeffs.items():
-                    if all(x <= y for x, y in zip(b, a)):
-                        add_into(tab, tuple(y - x for x, y in zip(b, a)), ca * cb)
+            tab = _pull_back(ring, table, order, lambda b: _times(jc, b))
             if not tab:
                 continue
-            # group dual: transport the point along the inverse automorphism
-            if S.gp_is_identity(gp):
-                q = coords
-            else:
+            q = coords
+            if not S.gp_is_identity(gp):
                 imgs = list(S.gp_images(gp).values())
                 q = tuple(img.evaluate(coords) for img in imgs)
+                # h^b -> psi^b, psi the images' jets less constants (the support
+                # moves to q); psi^b = psi^(b - e_v) psi_v, v last with b_v > 0
                 oo = max(sum(a) for a in tab)
-                psis = []
-                for img in imgs:
-                    j = taylor_jet(img, coords, oo)
-                    psis.append(Jet(ring, oo,
-                                    {e: c for e, c in j.coeffs.items() if any(e)}))
-                zero_exp = (0,) * ring.nvars
-                pows = {zero_exp: Jet(ring, oo, {zero_exp: ring.params.one})}
-                frontier = [zero_exp]
-                for _ in range(oo):
-                    nxt = []
-                    for beta in frontier:
-                        for v in range(ring.nvars):
-                            nb = tuple(x + (1 if k == v else 0)
-                                       for k, x in enumerate(beta))
-                            if nb not in pows and sum(nb) <= oo:
-                                pows[nb] = pows[beta] * psis[v]
-                                nxt.append(nb)
-                    frontier = nxt
-                newtab = {}
-                for a, ca in tab.items():
-                    for beta, jb in pows.items():
-                        if sum(beta) > sum(a):
-                            continue
-                        cb = jb[a]
-                        if not cb.is_zero():
-                            add_into(newtab, beta, ca * cb)
-                tab = newtab
-            # primitive duals, one generator application at a time
+                psis = [Jet(ring, oo, {e: c for e, c in taylor_jet(img, coords, oo)
+                                       .coeffs.items() if any(e)}) for img in imgs]
+                pows = {}
+                for b in ring.monomials_up_to(oo):
+                    v = max((k for k, x in enumerate(b) if x), default=None)
+                    pows[b] = (Jet(ring, oo, {b: ring.params.one}) if v is None
+                               else pows[_lower(b, v)] * psis[v])
+                tab = _pull_back(ring, tab, oo, pows.__getitem__)
+            # h^b -> sum_v b_v J_q(val_v) h^(b - e_v), once per application
             for j, power in enumerate(alpha):
                 gen = S.inf_gens[j]
                 for _ in range(power):
                     if not tab:
                         break
                     oo = max(sum(a) for a in tab)
-                    jvals = {v: taylor_jet(val, q, oo)
-                             for v, val in gen.values.items()}
-                    newtab = {}
-                    for a, ca in tab.items():
-                        for v, jv in jvals.items():
-                            for mu, cmu in jv.coeffs.items():
-                                if not all(x <= y for x, y in zip(mu, a)):
-                                    continue
-                                nu = tuple(y - x for x, y in zip(mu, a))
-                                target = tuple(x + (1 if k == v else 0)
-                                               for k, x in enumerate(nu))
-                                add_into(newtab, target, ca * cmu * (nu[v] + 1))
-                    tab = newtab
-            final = {}
-            for a, c in tab.items():
-                if sum(a) > jet_order:
-                    leaked = True
-                else:
-                    final[a] = c
-            if final:
-                result._merge(q, final)
+                    jvals = {v: taylor_jet(val, q, oo) for v, val in gen.values.items()}
+                    tab = _pull_back(ring, tab, oo + 1, lambda b: sum(
+                        (_times(jv, _lower(b, v)).scale(b[v])
+                         for v, jv in jvals.items() if b[v]), Jet(ring, oo, {})))
+            final = {a: c for a, c in tab.items() if sum(a) <= jet_order}
+            leaked = leaked or len(final) < len(tab)
+            result._merge(q, final)
     return result, leaked
 
 
@@ -292,6 +281,15 @@ def _point_index(points, coords):
     return None
 
 
+def _coordinates(vector, point_index):
+    """A distribution in module coordinates {(point index, jet index): c}."""
+    out = {}
+    for coords, tab in vector.entries:
+        pi = point_index(coords)
+        out.update(((pi, a), c) for a, c in tab.items())
+    return out
+
+
 def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
     """The span of (generator words of length <= l) applied to the character.
 
@@ -333,14 +331,7 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
                                    "bounds.orbit_window = %d" % orbit_window)
         return len(points) - 1
 
-    raw = []
-    for v in vectors:
-        entry = {}
-        for coords, tab in v.entries:
-            pi = point_index(coords)
-            for a, c in tab.items():
-                entry[(pi, a)] = c
-        raw.append(entry)
+    raw = [_coordinates(v, point_index) for v in vectors]
     keys = sorted({k for entry in raw for k in entry},
                   key=lambda k: (k[0], sum(k[1]), k[1]))
     zero = ring.params.zero
@@ -358,21 +349,11 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
         for i in range(len(basis)):
             bv = module.basis_vector(i)
             w, lk = act(name, op, bv)
-            leak = leak or lk
-            entry = {}
-            for coords, tab in w.entries:
-                found = _point_index(points, coords)
-                if found is None:
-                    leak = True
-                    continue
-                for a, c in tab.items():
-                    entry[(found, a)] = entry.get((found, a), zero) + c
+            # an entry off the keys (an unknown point gives index None) leaks
+            entry = _coordinates(w, partial(_point_index, points))
             vec = [entry.pop(k, zero) for k in keys]
-            if any(not c.is_zero() for c in entry.values()):
-                leak = True
             coords_, resid = linalg.reduce_vector(basis, pivots, vec)
-            if any(not x.is_zero() for x in resid):
-                leak = True
+            leak = leak or lk or bool(entry) or any(not x.is_zero() for x in resid)
             cols.append(coords_)
         mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
         return mat, leak
@@ -455,18 +436,8 @@ def invariant_coordinate_subspaces(matrices, dim):
     out = []
     for mask in range(1, (1 << dim) - 1):
         subset = [i for i in range(dim) if mask & (1 << i)]
-        ok = True
-        for M in matrices:
-            for j in subset:
-                for i in range(dim):
-                    if i not in subset and not M[i][j].is_zero():
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(M[i][j].is_zero() for M in matrices for j in subset
+               for i in range(dim) if i not in subset):
             out.append(subset)
     return out
 

@@ -109,9 +109,10 @@ class PolyRing:
 
 class Poly(Ring):
     """Sparse polynomial; zero coefficients are never stored (see ``sparse``).
-    ``terms`` is never written after construction; ``gp_act`` sets ``_images``."""
+    ``terms`` is never written after construction.  ``_memo`` holds values
+    derived from it: group images (``Setting.gp_act``) and jets (``taylor_jet``)."""
 
-    __slots__ = ("ring", "terms", "_images")
+    __slots__ = ("ring", "terms", "_memo")
 
     def __init__(self, ring, terms, _clean=False):
         self.ring = ring
@@ -255,10 +256,12 @@ class Poly(Ring):
 def try_divide(num, den):
     """Exact quotient num/den in the polynomial ring, or None.
 
-    Both arguments may have Laurent support; the division itself runs on
-    monomial-shifted copies with nonnegative exponents, where graded-lex
-    term division is a complete divisibility test.  Exponent spans (max - min)
-    add under multiplication: a smaller span than den's is rejected first.
+    Both arguments may have Laurent support.  A Laurent variable is a unit,
+    so the division itself runs on copies shifted to minimum exponent 0 in
+    each Laurent variable, where graded-lex term division is a complete
+    divisibility test (a common shift keeps the graded-lex order).  Exponent
+    spans (max - min) add under multiplication: a smaller span than den's is
+    rejected first.
     """
     ring = num.ring
     if den.is_zero():
@@ -268,10 +271,8 @@ def try_divide(num, den):
     spans = [[max(col) - min(col) for col in zip(*p.terms)] for p in (num, den)]
     if any(a < b for a, b in zip(*spans)):
         return None
-    smin_n = num.min_exponents()
-    smin_d = den.min_exponents()
-    shift_n = tuple(-min(x, 0) for x in smin_n)
-    shift_d = tuple(-min(x, 0) for x in smin_d)
+    shift_n, shift_d = ([-x if laurent else 0 for x, laurent in
+                         zip(p.min_exponents(), ring.laurent)] for p in (num, den))
     nwork = dict(num.shift_monomial(shift_n).terms)
     dpoly = den.shift_monomial(shift_d)
     dlead, dcoeff = dpoly.leading()
@@ -286,8 +287,7 @@ def try_divide(num, den):
         quo[qe] = qc
         for de, dc in dpoly.terms.items():
             add_into(nwork, tuple(a + b for a, b in zip(qe, de)), -(qc * dc))
-    # net shift back: quotient * x^(shift_d - shift_n)
-    # (a non-Laurent variable is never shifted, so no exponent goes negative)
+    # net shift back: quotient * x^(shift_d - shift_n), on Laurent variables only
     back = tuple(d - n for n, d in zip(shift_n, shift_d))
     return Poly(ring, quo).shift_monomial(back)
 
@@ -301,7 +301,7 @@ class RatFunc(Field):
     the numerator cancels.  Denominators are never gcd-reduced beyond this.
     """
 
-    __slots__ = ("num", "den", "_images")  # ``_images`` as on ``Poly``
+    __slots__ = ("num", "den", "_memo")  # ``_memo`` as on ``Poly``
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
@@ -455,7 +455,8 @@ class RatFunc(Field):
 # -- truncated Taylor expansions (jets) ------------------------------------
 
 class Jet:
-    """Truncated power series sum c_a h^a, |a| <= order, over the params."""
+    """Truncated power series sum c_a h^a, |a| <= order, over the params.
+    ``coeffs`` is never written after construction, so a jet can be shared."""
 
     __slots__ = ("ring", "order", "coeffs")
 
@@ -504,7 +505,15 @@ def taylor_jet(value, point, order):
 
     Expansion variables h_i shadow the main variables; the point must avoid
     denominator zeros (and zero coordinates for Laurent variables).
+    Memoised on the (immutable) value under the printed point and the
+    order: unequal points never print alike.
     """
+    memo = getattr(value, "_memo", None)
+    if memo is None:
+        memo = value._memo = {}
+    key = (tuple(str(c) for c in point), order)
+    if key in memo:
+        return memo[key]
     rf = RatFunc.of(value)
     ring = rf.ring
     params = ring.params
@@ -532,6 +541,5 @@ def taylor_jet(value, point, order):
             total = total + term.scale(c)
         return total
 
-    jn = jet_of_poly(rf.num)
-    jd = jet_of_poly(rf.den)
-    return jn * jd.inverse()
+    memo[key] = jet_of_poly(rf.num) * jet_of_poly(rf.den).inverse()
+    return memo[key]

@@ -210,12 +210,12 @@ class Setting:
         share a ring.  The image lives exactly as long as the value."""
         if self.gp_is_identity(a):
             return value
-        images = getattr(value, "_images", None)
-        if images is None:
-            images = value._images = {}
-        image = images.get((self, a))
+        memo = getattr(value, "_memo", None)
+        if memo is None:
+            memo = value._memo = {}
+        image = memo.get((self, a))
         if image is None:
-            image = images[(self, a)] = value.substitute(self.gp_images(a))
+            image = memo[(self, a)] = value.substitute(self.gp_images(a))
         return image
 
     def gp_name(self, a):

@@ -151,6 +151,15 @@ def test_try_divide_complete():
     assert try_divide(x ** 2 + 1, x - 1) is None
 
 
+def test_try_divide_by_a_laurent_monomial_factor():
+    # z is a unit: a positive power of it in den divides every numerator
+    R = make_ring()
+    x, z = R.var(0), R.var(1)
+    assert try_divide(R.one, z) == z ** -1
+    assert try_divide(1 + z, z) == 1 + z ** -1
+    assert try_divide(x * z, (x + 1) * z ** 2) is None
+
+
 # -- substitution -----------------------------------------------------------------
 
 

@@ -315,7 +315,6 @@ def test_sums_over_products_of_linear_forms_match_sympy(na, nb, da, extra, neste
 def _without_z_factor(p):
     # z is a unit in R, so divisibility there is divisibility in QQ(q)[x, z]
     # once each side is shifted to its lowest z power: den is then prime to z
-    # (and a RatFunc denominator, which try_divide is given, is stored so)
     return p.shift_monomial((0, -p.min_exponents()[1]))
 
 
@@ -323,16 +322,19 @@ nonzero_numerators = numerators.filter(lambda p: not p.is_zero())
 
 
 @settings(max_examples=80, deadline=None)
-@given(nonzero_numerators, nonzero_numerators, form_lists, form_lists, st.booleans())
+@given(nonzero_numerators, nonzero_numerators, form_lists, form_lists, st.booleans(),
+       st.integers(-2, 2))
 def test_try_divide_is_none_exactly_when_sympy_leaves_a_remainder(a, b, forms, more,
-                                                                   multiple):
+                                                                   multiple, k):
     # a multiple of den, or a numerator drawn on its own: often of a smaller
-    # exponent span than den in x or z, which is rejected before dividing
+    # exponent span than den in x or z, which is rejected before dividing;
+    # try_divide gets den times z^k, the oracle both sides without z factors
     den = _without_z_factor(b * _product(forms))
     num = a * _product(more) * (den if multiple else R.one)
+    den = den.shift_monomial((0, k))
     quotient = try_divide(num, den)
-    _, rem = sympy.div(_sympy_poly(_without_z_factor(num)), _sympy_poly(den), SX, SZ,
-                       domain="QQ(q)")
+    _, rem = sympy.div(_sympy_poly(_without_z_factor(num)),
+                       _sympy_poly(_without_z_factor(den)), SX, SZ, domain="QQ(q)")
     assert (quotient is None) == (rem != 0)
     if quotient is not None:
         assert quotient * den == num
