@@ -143,8 +143,8 @@ def distribution_action(element, xi, jet_order):
 
     For a term c g E^alpha and an entry xi = sum_a T[a] [h^a] at p, X xi is
     xi o L for three maps of jets applied in turn: multiplication by the jet
-    of c at p; composition with the jets of the group images at p, which
-    moves the support to q = g(p); and each derivation E at q.
+    of c at p; composition with the group images' jets at p, which moves
+    the support to q, the images' values at p; and each derivation E at q.
 
     Returns (vector, leaked): ``leaked`` reports that a nonzero coefficient
     beyond the jet order was dropped.  Twisted (skew-primitive) generators

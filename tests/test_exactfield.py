@@ -298,6 +298,11 @@ def test_taylor_jet_geometric_series():
     jet = taylor_jet(f, (pf.from_fraction(0),), 4)
     for k in range(5):
         assert jet[(k,)] == pf.one
+    # memoised on f per point and order: a repeat is the same jet, while
+    # another order or point is expanded afresh (1/(1-x) at 2 is -1/(1+h))
+    assert taylor_jet(f, (pf.from_fraction(0),), 4) is jet
+    assert taylor_jet(f, (pf.from_fraction(0),), 2).order == 2
+    assert taylor_jet(f, (pf.from_fraction(2),), 4)[(1,)] == pf.one
 
 
 def test_taylor_jet_at_shifted_point():

@@ -63,13 +63,14 @@ def test_weyl_delta_ladder():
 def test_action_matches_pairing_oracle(recipe, coords):
     # (X xi)(f) = xi(X(f)) checked by direct evaluation on monomials, for
     # products X of two standard generators on derivative deltas: every
-    # multiplication, group and primitive dual, with headroom for no leak
+    # multiplication, group and primitive dual, with headroom for no leak;
+    # degree 4 reaches every jet index that two derivations produce
     S = build_setting(recipe)
     ring = S.ring
     point = tuple(ring.params.from_fraction(c) for c in coords)
     ops = [g for _, g in standard_generators(S)]
     monomials = [RatFunc.of(ring.monomial(e))
-                 for e in ring.monomials_up_to(2, include_negative=True)]
+                 for e in ring.monomials_up_to(4, include_negative=True)]
     for index in ring.monomials_up_to(2):
         xi = DistributionVector.derivative_delta(ring, point, index)
         for A in ops:
