@@ -3,12 +3,17 @@
 A :class:`NumberField` is Q[z]/(m(z)) for a monic integer polynomial m,
 assumed irreducible (the caller's contract; small degrees get a rational
 root check, and a reducible m surfaces later as a zero-divisor error on
-inversion).  Field elements are plain tuples of ``Fraction`` of length
+inversion).  Field elements are plain tuples of exact rationals of length
 deg(m), always reduced mod m, so tuple equality and hashing are the
-semantic ones.  Degree 1 is plain Q with elements ``(Fraction,)``.  The
-class of z prints as ``zeta``, and an irrational element as a
-parenthesised sum in rising powers, ``(-1 + 1/2*zeta^3)``, through the
-printer of :mod:`hopfgalois.sparse`.
+semantic ones.  A component is an ``int`` or a ``Fraction``: the
+constructors and ``inv`` store an integral rational as an ``int``, whose
+arithmetic is cheaper, while an integral sum or product of Fractions may
+stay a ``Fraction``; the two compare, hash and print alike.  Every
+division is a ``Fraction`` division, so no component is ever a float.
+Degree 1 is plain Q with one-component elements.  The class of z prints
+as ``zeta``, and an irrational element as a parenthesised sum in rising
+powers, ``(-1 + 1/2*zeta^3)``, through the printer of
+:mod:`hopfgalois.sparse`.
 
 :func:`poly_divmod` is the one long division of univariate polynomials
 over such a field.  It serves the cyclotomic polynomials and the inverse
@@ -21,6 +26,11 @@ from fractions import Fraction
 from math import gcd
 
 from .sparse import monomial, signed_sum
+
+
+def _exact(x):
+    """The rational x as an int when it is integral, else as it is."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class ZeroDivisorError(ArithmeticError):
@@ -58,18 +68,19 @@ def poly_divmod(field, a, b):
 
 
 class NumberField:
-    """Arithmetic context for Q[z]/(m(z)).  Elements are Fraction tuples."""
+    """Arithmetic context for Q[z]/(m(z)).  Elements are tuples of ints and
+    Fractions (see the module docstring)."""
 
     gen_name = "zeta"  # how z prints
 
     def __init__(self, min_poly=(0, 1)):
-        mp = tuple(Fraction(c) for c in min_poly)
+        mp = tuple(_exact(Fraction(c)) for c in min_poly)
         if len(mp) < 2 or mp[-1] != 1:
             raise ValueError("minimal polynomial must be monic of degree >= 1")
         self.min_poly = mp
         self.degree = len(mp) - 1
-        self.zero = (Fraction(0),) * self.degree
-        self.one = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        self.zero = (0,) * self.degree
+        self.one = (1,) + (0,) * (self.degree - 1)
         if self.degree > 1:
             self._check_no_rational_root()
 
@@ -118,7 +129,7 @@ class NumberField:
     # -- element constructors -------------------------------------------
 
     def from_fraction(self, x):
-        return (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
+        return (_exact(Fraction(x)),) + (0,) * (self.degree - 1)
 
     def from_int(self, n):
         return self.from_fraction(n)
@@ -127,13 +138,13 @@ class NumberField:
         """The class of z (requires degree >= 2)."""
         if self.degree < 2:
             raise ValueError("prime field has no algebraic generator")
-        return (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2)
+        return (0, 1) + (0,) * (self.degree - 2)
 
     def element(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(Fraction(c)) for c in coeffs]
         if len(cs) > self.degree:
             cs = self._reduce(cs)
-        cs += [Fraction(0)] * (self.degree - len(cs))
+        cs += [0] * (self.degree - len(cs))
         return tuple(cs)
 
     # -- arithmetic ------------------------------------------------------
@@ -154,7 +165,7 @@ class NumberField:
     def mul(self, a, b):
         if self.degree == 1:
             return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * self.degree - 1)
+        prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -164,7 +175,7 @@ class NumberField:
 
     def _reduce(self, coeffs):
         # Not poly_divmod: this is the kernel of every mul, and reducing mod
-        # the fixed monic m on bare Fractions needs no quotient, no leading
+        # the fixed monic m on bare rationals needs no quotient, no leading
         # inverse and no field-element tuples.
         m = self.min_poly
         d = self.degree
@@ -175,14 +186,14 @@ class NumberField:
                 for j in range(d + 1):
                     cs[i - d + j] -= c * m[j]
         cs = cs[:d]
-        cs += [Fraction(0)] * (d - len(cs))
+        cs += [0] * (d - len(cs))
         return cs
 
     def inv(self, a):
         if not self.is_nonzero(a):
             raise ZeroDivisionError("inverting zero in number field")
         if self.degree == 1:
-            return (1 / a[0],)
+            return (_exact(Fraction(1) / a[0]),)
         # extended Euclid in Q[z] on m and a, keeping the cofactor s of each
         # remainder r (s*a = r mod m) as a field element
         Q = NumberField.rationals()
@@ -195,8 +206,8 @@ class NumberField:
         if any(c for (c,) in r0[1:]):
             raise ZeroDivisorError(
                 "gcd with minimal polynomial is nonconstant; element is a zero divisor")
-        c = r0[0][0]
-        return tuple(x / c for x in s0)
+        c = Fraction(r0[0][0])
+        return tuple(_exact(x / c) for x in s0)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -24,6 +24,7 @@ Arithmetic between elements of two unequal parameter fields raises
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .numberfield import NumberField, poly_divmod
 from .sparse import Field, grlex, monomial, signed_sum
@@ -48,10 +49,17 @@ def _dict_neg(field, a):
 
 
 def _dict_mul(field, a, b):
+    if len(a) == 1 and len(b) == 1:
+        # most products are of one term by one term: one key, no merging; the
+        # product is checked all the same, as m(z) may be reducible
+        (ka, va), = a.items()
+        (kb, vb), = b.items()
+        p = field.mul(va, vb)
+        return {tuple(map(add, ka, kb)): p} if field.is_nonzero(p) else {}
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = tuple(map(add, ka, kb))
             p = field.mul(va, vb)
             if k in out:
                 s = field.add(out[k], p)

@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import ParamElem, ParamField
-from .sparse import (Field, Ring, add_into, add_terms, factor, grlex, monomial, mul_terms,
-                     power, signed_sum)
+from .sparse import (Field, Ring, add_terms, divide_terms, factor, grlex, monomial,
+                     mul_terms, power, signed_sum)
 
 
 class PolyRing:
@@ -257,11 +257,11 @@ def try_divide(num, den):
     """Exact quotient num/den in the polynomial ring, or None.
 
     Both arguments may have Laurent support.  A Laurent variable is a unit,
-    so the division itself runs on copies shifted to minimum exponent 0 in
-    each Laurent variable, where graded-lex term division is a complete
-    divisibility test (a common shift keeps the graded-lex order).  Exponent
-    spans (max - min) add under multiplication: a smaller span than den's is
-    rejected first.
+    so the division itself (``sparse.divide_terms``) runs on copies shifted
+    to minimum exponent 0 in each Laurent variable, where graded-lex term
+    division is a complete divisibility test (a common shift keeps the
+    graded-lex order).  Exponent spans (max - min) add under
+    multiplication: a smaller span than den's is rejected first.
     """
     ring = num.ring
     if den.is_zero():
@@ -273,20 +273,10 @@ def try_divide(num, den):
         return None
     shift_n, shift_d = ([-x if laurent else 0 for x, laurent in
                          zip(p.min_exponents(), ring.laurent)] for p in (num, den))
-    nwork = dict(num.shift_monomial(shift_n).terms)
-    dpoly = den.shift_monomial(shift_d)
-    dlead, dcoeff = dpoly.leading()
-    quo = {}
-    while nwork:
-        e = max(nwork, key=grlex)
-        c = nwork[e]
-        qe = tuple(a - b for a, b in zip(e, dlead))
-        if any(x < 0 for x in qe):
-            return None
-        qc = c / dcoeff
-        quo[qe] = qc
-        for de, dc in dpoly.terms.items():
-            add_into(nwork, tuple(a + b for a, b in zip(qe, de)), -(qc * dc))
+    quo = divide_terms(num.shift_monomial(shift_n).terms,
+                       den.shift_monomial(shift_d).terms)
+    if quo is None:
+        return None
     # net shift back: quotient * x^(shift_d - shift_n), on Laurent variables only
     back = tuple(d - n for n, d in zip(shift_n, shift_d))
     return Poly(ring, quo).shift_monomial(back)

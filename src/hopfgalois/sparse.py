@@ -21,6 +21,12 @@ The loops are written out in ``add_terms`` and ``mul_terms`` rather than
 calling ``add_into`` per term: ``Poly.__mul__`` runs through here millions
 of times.
 
+Division.  ``divide_terms`` is the one multivariate long division: the
+exact quotient of two such dicts with non-negative exponents, or None,
+returned at the first quotient term that no exact quotient has.
+``polyring.try_divide`` runs it on Laurent polynomials shifted to
+non-negative exponents.
+
 Operators.  ``Ring`` and ``Field`` define the operators that follow from
 the others once, for ``ParamElem``, ``Poly``, ``RatFunc`` and
 ``SmashElement``.  A subclass supplies ``+``, unary ``-``, ``*``, ``==``
@@ -39,6 +45,8 @@ terms in the order the caller gives (``grlex`` descending, or by power):
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 def add_into(out, key, value):
@@ -78,7 +86,7 @@ def mul_terms(a, b, max_degree=None):
     b_items = b.items()
     for e1, v1 in a.items():
         for e2, v2 in b_items:
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             if max_degree is not None and sum(e) > max_degree:
                 continue
             p = v1 * v2
@@ -91,6 +99,43 @@ def mul_terms(a, b, max_degree=None):
             elif not p.is_zero():
                 out[e] = p
     return out
+
+
+def divide_terms(num, den):
+    """The exact quotient num / den of two polynomials, or None if den does
+    not divide num.
+
+    Both are nonzero dicts from exponent tuples, every exponent at least 0,
+    to field coefficients with ``+``, unary ``-``, ``*``, ``/``,
+    ``is_zero()`` and ``is_one()``.  This is long division on the
+    ``grlex``-leading term, a complete test over a domain.  Its quotient
+    terms come in falling ``grlex`` order, so it stops at the first one
+    that an exact quotient cannot have: one with a negative exponent, or
+    one of total degree below lowdeg(num) - lowdeg(den), where lowdeg is
+    the least total degree of a term (the lowest homogeneous part of a
+    product is the product of the lowest parts).  The leading term of each
+    step cancels by construction and is dropped without forming it; a
+    leading coefficient 1 divides nothing.
+    """
+    dlead = max(den, key=grlex)
+    dcoeff = den[dlead]
+    monic = dcoeff.is_one()
+    rest = [(e, c) for e, c in den.items() if e != dlead]
+    low = min(map(sum, num)) - min(map(sum, den))
+    work = dict(num)
+    quo = {}
+    while work:
+        e = max(work, key=grlex)
+        qe = tuple(a - b for a, b in zip(e, dlead))
+        if sum(qe) < low or any(x < 0 for x in qe):
+            return None
+        c = work.pop(e)
+        qc = c if monic else c / dcoeff
+        quo[qe] = qc
+        neg = -qc
+        for de, dc in rest:
+            add_into(work, tuple(map(add, qe, de)), neg * dc)
+    return quo
 
 
 def power(base, n, one):

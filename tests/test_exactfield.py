@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from hopfgalois.numberfield import NumberField, ZeroDivisorError
 from hopfgalois.params import ParamField
@@ -59,6 +61,55 @@ def test_zero_divisor_surfaces():
     bad = nf.element([2, -2, 1])  # x^2 - 2x + 2, a factor
     with pytest.raises(ZeroDivisorError):
         nf.inv(bad)
+
+
+# The oracle of the property below is sympy's polynomial remainder modulo
+# the minimal polynomial, written out here (z for Q, z^2 + z + 1 for
+# Q(zeta3)); it shares no code with numberfield.
+Z = sympy.Symbol("z")
+ORACLE_FIELDS = [(NumberField.rationals(), sympy.Poly(Z, Z, domain=sympy.QQ)),
+                 (NumberField.cyclotomic(3), sympy.Poly(Z ** 2 + Z + 1, Z, domain=sympy.QQ))]
+# integral and non-integral components, the integral ones as int and as Fraction
+components = st.one_of(st.integers(-5, 5),
+                       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+
+
+@st.composite
+def field_elements(draw):
+    nf, m = draw(st.sampled_from(ORACLE_FIELDS))
+    a, b = (tuple(draw(st.lists(components, min_size=nf.degree, max_size=nf.degree)))
+            for _ in range(2))
+    return nf, m, a, b
+
+
+def _sympy_element(a):
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * Z ** i
+                          for i, c in enumerate(a)), Z, domain=sympy.QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(), st.integers(-4, 4))
+def test_number_field_matches_sympy_remainders_and_never_floats(case, n):
+    nf, m, a, b = case
+    A, B = _sympy_element(a), _sympy_element(b)
+    checks = [(nf.add(a, b), A + B), (nf.sub(a, b), A - B), (nf.mul(a, b), A * B)]
+    if any(b):
+        checks += [(nf.inv(b), B.invert(m)), (nf.div(a, b), A * B.invert(m))]
+    if any(a) or n >= 0:
+        checks.append((nf.pow(a, n), A ** n if n >= 0 else A.invert(m) ** -n))
+    for got, want in checks:
+        assert all(type(c) in (int, Fraction) for c in got), got
+        coeffs = want.rem(m).all_coeffs()[::-1]
+        coeffs += [0] * (nf.degree - len(coeffs))
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == coeffs
+
+
+def test_integral_rationals_are_stored_as_ints():
+    nf = NumberField.cyclotomic(3)
+    for x in (nf.zero, nf.one, nf.gen(), nf.from_fraction(Fraction(4, 2)),
+              nf.element([Fraction(6, 3), 0, 1]), nf.min_poly):
+        assert all(type(c) is int for c in x), x
+    assert nf.from_fraction(Fraction(1, 2)) == (Fraction(1, 2), 0)
 
 
 # -- parameter field -----------------------------------------------------------

@@ -19,10 +19,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.fields import field
 
+from hopfgalois import polyring, sparse
 from hopfgalois.params import ParamElem, ParamField, _dict_add, _dict_mul
 from hopfgalois.polyring import PolyRing, RatFunc, try_divide
 
@@ -342,10 +343,85 @@ def test_try_divide_is_none_exactly_when_sympy_leaves_a_remainder(a, b, forms, m
 
 def test_a_smaller_exponent_span_is_rejected_before_dividing(monkeypatch):
     x, z = R.var(0), R.var(1)
-    monkeypatch.setattr(type(x), "leading", _refuse)
+    monkeypatch.setattr(polyring, "divide_terms", _refuse)
     # spans (1, 1) against (2, 0), and (0, 1) against (0, 3) with Laurent support
     assert try_divide(x * z + 1, x ** 2 - 1) is None
     assert try_divide(z + 3, z ** 2 - z ** -1) is None
     monkeypatch.undo()
     assert try_divide(x * z + 1, x * z - 1) is None  # equal spans: divided
     assert try_divide(z ** 2 - z ** -1, z ** 3 - 1) == z ** -1
+
+
+# Numerators q*d + r with r nonzero and of total degree below lowdeg(q*d),
+# on a Laurent ring (x plain, z Laurent) and a plain one (x, y): the long
+# division runs through q and then meets r, where a quotient term falls
+# below lowdeg(num) - lowdeg(den) and the division stops.
+PLAIN = PolyRing(("x", "y"), params=RPF)
+COEFFS = [RPF.from_int(1), RPF.from_int(-2), RPF.from_fraction(Fraction(1, 2)),
+          RPF.param("q"), RPF.param("q") - 1]
+
+
+def _forms(ring):
+    x, y = ring.var(0), ring.var(1)
+    q = RPF.param("q")
+    return [x - y, x + y, y - q, 2 * x + y + 1, x + q]
+
+
+def _low(p):
+    return min(sum(e) for e in p.terms)
+
+
+def _terms(ring, ys, min_size=0):
+    return st.dictionaries(st.tuples(st.integers(0, 2), ys), st.sampled_from(COEFFS),
+                           min_size=min_size, max_size=3).map(
+        lambda terms: sum((ring.monomial(e, c) for e, c in terms.items()), ring.zero))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.data())
+def test_try_divide_of_a_multiple_plus_a_low_remainder_matches_sympy(laurent, data):
+    ring = R if laurent else PLAIN
+    # z exponents of R start at -1; numerators without z factors divide alike
+    strip = _without_z_factor if laurent else (lambda p: p)
+    forms = _forms(ring)
+    draw = data.draw
+    den = strip(draw(_terms(ring, st.integers(-1, 1) if laurent else st.integers(0, 2), 1)))
+    for i in draw(form_lists):
+        den = den * forms[i]
+    quotient = ring.var(0) ** draw(st.integers(1, 2))
+    for i in draw(form_lists):
+        quotient = quotient * forms[i]
+    multiple = strip(quotient * den)
+    drawn = draw(_terms(ring, st.integers(0, 1), 1))
+    rest = sum((ring.monomial(e, c) for e, c in drawn.terms.items()
+                if sum(e) < _low(multiple)), ring.zero)
+    assume(not rest.is_zero())
+    num = multiple + rest
+    shift = draw(st.integers(-2, 2)) if laurent else 0
+    shifted = den.shift_monomial((0, shift))
+    assert try_divide(multiple, shifted) * shifted == multiple
+    _, rem = sympy.div(_sympy_poly(strip(num)), _sympy_poly(den), SX, SZ, domain="QQ(q)")
+    found = try_divide(num, shifted)
+    assert (found is None) == (rem != 0)
+    if found is not None:
+        assert found * shifted == num
+
+
+def test_a_quotient_term_below_the_lowest_degrees_ends_the_division(monkeypatch):
+    # (x^4 + x^2) / (x + 1): quotient terms x^3, -x^2, then 2x of degree
+    # 1 < lowdeg(num) - lowdeg(den) = 2; two steps instead of four.  A step
+    # adds the quotient term times the 1 of x + 1 into the remainder.
+    x = PLAIN.var(0)
+    add_into = sparse.add_into
+    steps = []
+
+    def counted(out, key, value):
+        steps.append(key)
+        add_into(out, key, value)
+
+    monkeypatch.setattr(sparse, "add_into", counted)
+    assert try_divide(x ** 4 + x ** 2, x + 1) is None
+    assert steps == [(3, 0), (2, 0)]
+    steps.clear()
+    assert try_divide(x ** 4 + x ** 3, x + 1) == x ** 3
+    assert steps == [(3, 0)]
