@@ -70,8 +70,7 @@ class QuantumBorel(Recipe):
         ring = PolyRing(("t",), params=pf)
         q = pf.param("q")
         E = InfGenerator("E", ring, {0: ring.one},
-                         twist={0: ring.var(0) * (q ** -1)},
-                         twist_inv={0: ring.var(0) * q})
+                         twist={0: ring.var(0) * (q ** -1)})
         return Setting(ring, name="quantum-borel", inf_gens=[E], meta={"q": q})
 
     def identities(self, setting):

@@ -22,15 +22,16 @@ level, is a usage error.  Bounds on the command line (``--degree``,
 ``--jet-order``, ``--word-length``, ``--orbit-window``) override the
 config.  Reports embed the bounds used and a one-line statement of the
 identity or axiom each check certifies; identical configs produce
-byte-identical reports.  Exit codes: 0 all
-verified, 1 counterexample (or truncation leakage without
-``--allow-truncation``), 2 usage error (including, for ``module``, a
-generator with a pole at a support point the module reaches, and more
-support points than ``bounds.orbit_window``), 3 inconclusive-at-bound
-under ``--strict``, 4 unsupported (a computation the package does not
-implement, such as ``module`` on a twisted generator; an ``unsupported:``
-line on stderr) or internal error (a traceback, then an ``internal
-error:`` line).  Every subcommand but ``catalog`` runs through ``run``.
+byte-identical reports.  Exit codes: 0 all verified, 1 counterexample (or
+truncation leakage without ``--allow-truncation``), 2 usage error
+(including a config file that cannot be read, a report that cannot be
+written to ``--out``, and, for ``module``, a generator with a pole at a
+support point the module reaches, and more support points than
+``bounds.orbit_window``), 3 inconclusive-at-bound under ``--strict``, 4
+unsupported (a computation the package does not implement, such as
+``module`` on a twisted generator; an ``unsupported:`` line on stderr) or
+internal error (a traceback, then an ``internal error:`` line).  Every
+subcommand but ``catalog`` runs through ``run``.
 """
 
 from __future__ import annotations
@@ -212,7 +213,9 @@ def load_config(path):
             config = json.load(fh)
     except FileNotFoundError:
         raise UsageError("config file not found: %s" % path)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError("config file cannot be read: %s (%s)" % (path, exc.strerror))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError("config is not valid JSON: %s" % exc)
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
@@ -315,8 +318,11 @@ def cmd_catalog(args):
 def _emit(document, out_path):
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("report cannot be written: %s (%s)" % (out_path, exc.strerror))
     else:
         sys.stdout.write(text)
 

@@ -11,19 +11,19 @@ exact; jets are truncated at a declared order, and any dropped nonzero
 coefficient raises a flag that is reported, never silently discarded.
 
 One closure loop, ``_closure`` (a span closed under matrices), serves the
-cyclic submodules, the generation test of local finiteness and the simple
-quotient, which divides out the common kernel of the character row's
-closure under the transposed action matrices.
+generation test of local finiteness and the simple quotient, which divides
+out the common kernel of the character row's closure under the transposed
+action matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb, factorial
+from math import comb
 
 from . import linalg
-from .polyring import Jet, RatFunc, taylor_jet
+from .polyring import Jet, taylor_jet
 from .sparse import add_into, add_terms, factor, monomial, signed_sum
 from .stabilizer import PointIdeal, full_group_span, stab_group
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
@@ -64,26 +64,8 @@ class DistributionVector:
         zero_idx = (0,) * ring.nvars
         return cls(ring, [(tuple(coords), {zero_idx: ring.params.one})])
 
-    @classmethod
-    def derivative_delta(cls, ring, coords, index):
-        """The functional f -> (d^index f)(p), the classical delta derivative."""
-        c = ring.params.from_fraction(1)
-        for k in index:
-            c = c * factorial(k)
-        return cls(ring, [(tuple(coords), {tuple(index): c})])
-
     def is_zero(self):
         return not self.entries
-
-    def evaluate(self, value):
-        """Pair the functional with a lattice element (or rational function)."""
-        rf = RatFunc.of(value)
-        total = self.ring.params.zero
-        for coords, tab in self.entries:
-            jet = taylor_jet(rf, coords, max(sum(a) for a in tab))
-            for a, c in tab.items():
-                total = total + c * jet[a]
-        return total
 
     def scale(self, c):
         return DistributionVector(
@@ -426,22 +408,6 @@ def simple_quotient(module, point):
         list(module.var_leaks))
 
 
-def invariant_coordinate_subspaces(matrices, dim):
-    """All proper nonzero coordinate subspaces invariant under the matrices.
-
-    The brute-force oracle for simplicity at desk scale: a coordinate
-    subspace (spanned by a subset of basis vectors) is invariant iff every
-    matrix maps its columns into it.
-    """
-    out = []
-    for mask in range(1, (1 << dim) - 1):
-        subset = [i for i in range(dim) if mask & (1 << i)]
-        if all(M[i][j].is_zero() for M in matrices for j in subset
-               for i in range(dim) if i not in subset):
-            out.append(subset)
-    return out
-
-
 def _closure(params, matrices, basis):
     """A basis of the span of ``basis`` closed under the matrices, from a
     worklist: a vector that enlarges the span joins the basis (scaled to a
@@ -451,13 +417,6 @@ def _closure(params, matrices, basis):
         if linalg.extend(rows, pivots, queue.pop()):
             queue.extend(_mat_vec(params, M, rows[-1]) for M in matrices)
     return rows
-
-
-def cyclic_closure_dims(matrices, dim, params):
-    """dim of the submodule generated by each coordinate basis vector."""
-    return [len(_closure(params, matrices,
-                         [[params.one if i == j else params.zero for i in range(dim)]]))
-            for j in range(dim)]
 
 
 def scalar_module_check(p_poly, lam, mu):

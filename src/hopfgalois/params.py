@@ -209,19 +209,6 @@ class ParamElem(Field):
     def is_one(self):
         return self.num == self.den
 
-    def is_constant(self):
-        return (not self.num or (len(self.num) == 1 and self.field._zero_exp in self.num)) \
-            and len(self.den) == 1 and self.field._zero_exp in self.den
-
-    def constant_value(self):
-        """The number-field value of a constant element."""
-        nf = self.field.nf
-        if not self.is_constant():
-            raise ValueError("not a constant: %s" % self)
-        if not self.num:
-            return nf.zero
-        return nf.div(self.num[self.field._zero_exp], self.den[self.field._zero_exp])
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):

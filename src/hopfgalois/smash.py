@@ -48,20 +48,11 @@ class InfGenerator:
     grouplike (None for honest primitives, which twist by the identity).
     """
 
-    def __init__(self, name, ring, values, twist=None, twist_inv=None):
+    def __init__(self, name, ring, values, twist=None):
         self.name = name
         self.ring = ring
         self.values = {i: RatFunc.of(v) for i, v in values.items()}
         self.twist = twist
-        self.twist_inv = twist_inv
-        if twist is not None:
-            if twist_inv is None:
-                raise ValueError("a twisted generator needs the inverse twist map")
-            for v in range(ring.nvars):
-                x = ring.var(v)
-                if x.substitute(twist).substitute(twist_inv) != x:
-                    raise ValueError("twist and inverse twist do not compose to "
-                                     "the identity on %s" % ring.names[v])
         self._mono_cache = {}
         self._zero = RatFunc.of(ring.zero)
 
@@ -72,11 +63,6 @@ class InfGenerator:
         if self.twist is None:
             return RatFunc.of(rf)
         return RatFunc.of(rf).substitute(self.twist)
-
-    def twist_inv_act(self, rf):
-        if self.twist is None:
-            return RatFunc.of(rf)
-        return RatFunc.of(rf).substitute(self.twist_inv)
 
     def act(self, value):
         """The (twisted) derivation applied to a Poly or RatFunc."""
@@ -511,45 +497,6 @@ class SmashElement(Ring):
                 first = RatFunc(num) if first.den.is_one() else RatFunc(num, first.den)
             out = out + first
         return out
-
-    def right_normal_form(self):
-        """Rewrite with coefficients on the right: list of (gp, alpha, coeff)."""
-        S = self.setting
-        collected = {}
-        for (g, alpha), f in self.terms.items():
-            moved = S.gp_act(S.gp_inv(g), f)
-            for beta, c in self._push_right(moved, alpha).items():
-                add_into(collected, (g, beta), c)
-        return [(g, beta, c) for (g, beta), c in
-                sorted(collected.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
-
-    def _push_right(self, f, alpha):
-        """f * E^alpha = sum E^beta * c_beta with coefficients on the right."""
-        S = self.setting
-        if not any(alpha):
-            return {alpha: f}
-        j = next(k for k, x in enumerate(alpha) if x)
-        rest = tuple(x - (1 if k == j else 0) for k, x in enumerate(alpha))
-        gen = S.inf_gens[j]
-        h = gen.twist_inv_act(f)
-        out = {tuple(x + (1 if k == j else 0) for k, x in enumerate(beta)): c
-               for beta, c in self._push_right(h, rest).items()}
-        dh = gen.act(h)
-        if not dh.is_zero():
-            out = add_terms(out, self._push_right(-dh, rest))
-        return out
-
-    def expand_right_form(self, right_terms):
-        """Rebuild the element from right-normal-form terms (for round trips)."""
-        S = self.setting
-        total = S.zero()
-        for g, beta, c in right_terms:
-            el = S.group_element(g.w, g.mu)
-            for j, x in enumerate(beta):
-                if x:
-                    el = el * S.inf_element(j, x)
-            total = total + el * S.from_ratfunc(c)
-        return total
 
     def filtration_degree(self):
         if self.is_zero():

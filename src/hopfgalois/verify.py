@@ -145,22 +145,6 @@ def split_decompose(element):
     return head, element - S.from_ratfunc(head)
 
 
-def center_membership(value, presentation):
-    """Is a lattice element central: in the lattice and commuting with all generators?"""
-    report = partial(VerificationReport, "center-membership",
-                     provenance="the center is the set of invariant lattice elements")
-    S = presentation.setting
-    rf = RatFunc.of(value)
-    if not rf.is_in_lattice():
-        return report(COUNTEREXAMPLE, {"reason": "not in the lattice",
-                                       "element": str(rf)})
-    a = S.from_ratfunc(rf)
-    for name, g in presentation.generators:
-        if not (g * a - a * g).is_zero():
-            return report(COUNTEREXAMPLE, {"element": str(rf), "fails-against": name})
-    return report(VERIFIED, {"element": str(rf)})
-
-
 def max_commutative_probe(element, degree_bound):
     """Find a lattice monomial not commuting with X (X must have X_- != 0).
 
@@ -191,22 +175,6 @@ def max_commutative_probe(element, degree_bound):
 def normal_form_keys(elements):
     """The sorted (group part, exponents) keys of all the elements' terms."""
     return sorted({k for x in elements for k in x.terms})
-
-
-def left_rank_oracle(elements):
-    """Rank of the coefficient matrix of the elements over the fraction field.
-
-    Independent of the evaluation route: linear independence is read off
-    the normal-form coefficients directly.  The tests' oracle; no CLI path
-    calls it (``verify`` picks its generators by one ``row_reduce``).
-    """
-    keys = normal_form_keys(elements)
-    if not keys:
-        return 0
-    ring = elements[0].setting.ring
-    zero = RatFunc.of(ring.zero)
-    rows = [[x.terms.get(k, zero) for k in keys] for x in elements]
-    return linalg.rank(rows)
 
 
 def fo_certificate(elements, degree_bound):

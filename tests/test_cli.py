@@ -228,6 +228,22 @@ def test_verify_malformed_config(tmp_path, capsys):
         assert main(["verify", str(path)]) == 2, text
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and needle in err, err
+    # a config path that cannot be read or decoded, and a report path that
+    # cannot be written
+    good = write_config(tmp_path, {"recipe": ore, "checks": ["identities"]}, "good.json")
+    missing_dir = tmp_path / "no-such-dir" / "report.json"
+    (tmp_path / "latin1.json").write_bytes(b'{"recipe": "\xe9"}')
+    for argv, needle in [
+            (["verify", str(tmp_path / "latin1.json")], "config is not valid JSON"),
+            (["verify", str(tmp_path / "absent.json")],
+             "usage error: config file not found: %s\n" % (tmp_path / "absent.json")),
+            (["verify", str(tmp_path)], "config file cannot be read: %s" % tmp_path),
+            (["verify", good, "--out", str(missing_dir)],
+             "report cannot be written: %s" % missing_dir)]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and needle in err, err
+    assert not missing_dir.parent.exists()
 
 
 def test_unsupported_computation_exits_4(tmp_path, capsys):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfgalois.numberfield import NumberField, ZeroDivisorError
 from hopfgalois.params import ParamField
 from hopfgalois.polyring import Poly, PolyRing, RatFunc, taylor_jet, try_divide
 from hopfgalois import linalg
+from oracles import constant_value
 
 
 def make_ring():
@@ -375,6 +376,58 @@ def test_taylor_jet_laurent():
     assert jet[(0,)] == pf.from_fraction(Fraction(1, 2))
     assert jet[(1,)] == pf.from_fraction(Fraction(-1, 4))
     assert jet[(2,)] == pf.from_fraction(Fraction(1, 8))
+
+
+# (names, laurent flags) of the rings the jet oracle draws from
+JET_RINGS = [(("x",), (False,)), (("x", "y"), (False, False)),
+             (("x", "z"), (False, True))]
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def jet_inputs(draw):
+    """(names, Laurent flags, numerator, denominator, point, order): the
+    fraction as {exponents: Fraction} dicts, the point as Fractions with no
+    zero at a Laurent coordinate."""
+    names, laurent = JET_RINGS[draw(st.integers(0, len(JET_RINGS) - 1))]
+    exps = st.tuples(*[st.integers(-2 if l else 0, 2) for l in laurent])
+    terms = st.dictionaries(exps, small_fractions.filter(bool), max_size=3)
+    num = draw(terms)
+    den = draw(terms.filter(bool))
+    point = tuple(draw(small_fractions.filter(bool) if l else small_fractions) for l in laurent)
+    return names, laurent, num, den, point, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_inputs())
+def test_taylor_jet_matches_sympy_derivatives(data):
+    # every coefficient a of the jet at p is d^a f(p) / a!, by sympy
+    names, laurent, num, den, point, order = data
+    syms = sympy.symbols(names)
+    at = dict(zip(syms, (sympy.Rational(c.numerator, c.denominator) for c in point)))
+
+    def to_sympy(terms):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(v ** e for v, e in zip(syms, a)))
+                    for a, c in terms.items()), sympy.Integer(0))
+
+    f = to_sympy(num) / to_sympy(den)
+    assume(to_sympy(den).subs(at) != 0)
+    pf = ParamField(())
+    R = PolyRing(names, laurent=laurent, params=pf)
+
+    def to_poly(terms):
+        return sum((R.monomial(a, pf.from_fraction(c)) for a, c in terms.items()), R.zero)
+
+    jet = taylor_jet(RatFunc(to_poly(num), to_poly(den)),
+                     tuple(pf.from_fraction(c) for c in point), order)
+    for a in R.monomials_up_to(order):
+        d = f
+        for v, k in zip(syms, a):
+            d = sympy.diff(d, v, k)
+        expect = d.subs(at) / sympy.Mul(*(sympy.factorial(k) for k in a))
+        (got,) = constant_value(jet[a])
+        assert Fraction(got) == Fraction(int(expect.p), int(expect.q)), (a, f, point)
 
 
 # -- exact linear algebra ------------------------------------------------------------

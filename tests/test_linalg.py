@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hopfgalois import linalg
 from hopfgalois.params import ParamElem, ParamField
+from oracles import constant_value
 
 PF = ParamField(())
 
@@ -72,7 +73,7 @@ def to_sympy(rows):
 
 
 def value(x):
-    (q,) = x.constant_value()
+    (q,) = constant_value(x)
     return q
 
 

@@ -12,11 +12,11 @@ from hopfgalois.polyring import RatFunc
 from hopfgalois.smash import SmashElement
 from hopfgalois.stabilizer import PointIdeal
 from hopfgalois.verify import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
-                               OrderPresentation, center_membership,
-                               fo_certificate, generation_witness,
-                               left_rank_oracle, max_commutative_probe,
+                               OrderPresentation, fo_certificate,
+                               generation_witness, max_commutative_probe,
                                normal_form_keys, preserves_lattice,
                                split_decompose, weight_fiber_witness)
+from oracles import left_rank_oracle
 
 
 def tsq_presentation():
@@ -131,23 +131,6 @@ def test_split_random_elements():
         head, minus = split_decompose(x)
         assert S.from_ratfunc(head) + minus == x
         assert minus.apply(RatFunc.of(S.ring.one)).is_zero()
-
-
-def test_center_membership_examples():
-    S = build_setting(ShiftFlag(2, "S2"))
-    pres = OrderPresentation(S, [("s", S.group_element(1))])
-    assert center_membership(S.ring.var(0) + S.ring.var(1), pres).status == VERIFIED
-    assert center_membership(S.ring.var(0), pres).to_dict() == {
-        "check": "center-membership", "status": COUNTEREXAMPLE,
-        "witness": {"element": "x1", "fails-against": "s"}, "bounds": {},
-        "provenance": "the center is the set of invariant lattice elements"}
-    assert center_membership(S.ring.one, pres).status == VERIFIED
-    outside = center_membership(RatFunc(S.ring.one, S.ring.var(0)), pres)
-    assert outside.to_dict() == {
-        "check": "center-membership", "status": COUNTEREXAMPLE,
-        "witness": {"reason": "not in the lattice", "element": "(1)/(x1)"},
-        "bounds": {},
-        "provenance": "the center is the set of invariant lattice elements"}
 
 
 def test_max_commutative_probe():
