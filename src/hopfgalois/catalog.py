@@ -1,8 +1,9 @@
 """Constructors for the concrete settings and their distinguished operators.
 
-Each recipe is one frozen dataclass, and the one place that knows its
-family.  Its fields are the config keys of ``recipe``, its docstring is
-the summary that ``hopfgalois catalog`` prints, and it provides
+Each recipe is one class, and the one place that knows its family.  The
+keys of ``recipe`` are its fields, its annotated class attributes (``n:
+int``, or ``group: str = "trivial"`` with a default); its docstring is the
+summary that ``hopfgalois catalog`` prints, and it provides
 
 * ``build()``: the :class:`~hopfgalois.smash.Setting`;
 * ``operators(setting)``: the named distinguished operators, which
@@ -31,7 +32,6 @@ invariant in alpha_s, so the normalization is harmless).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from . import linalg
@@ -48,6 +48,21 @@ from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 class Recipe:
     """Base of the catalog recipes (see the module docstring)."""
 
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        values = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        values.update(zip(names, args))
+        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError("%s() takes the fields %s" % (cls.__name__, names))
+        values.update(kwargs)
+        if len(values) < len(names):
+            raise TypeError("%s() needs the fields %s" % (cls.__name__, names))
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
     def operators(self, setting):
         return [(gen.name, setting.inf_element(g))
                 for g, gen in enumerate(setting.inf_gens)]
@@ -61,7 +76,6 @@ def _report(check, ok, provenance, **extra):
                               provenance=provenance, **extra)
 
 
-@dataclass(frozen=True)
 class QuantumBorel(Recipe):
     """k[t] with skew-primitive E: Et = 1 + q^-1 tE (quantum Weyl algebra)"""
 
@@ -76,7 +90,7 @@ class QuantumBorel(Recipe):
     def identities(self, setting):
         E = quantum_borel_E(setting)
         ring = setting.ring
-        t = setting.from_ratfunc(ring.var(0))
+        t = setting.variables[0]
         q = setting.meta["q"]
         ok = True
         for n in range(1, 5):
@@ -90,7 +104,6 @@ class QuantumBorel(Recipe):
                         witness={"powers": "n <= 4"})]
 
 
-@dataclass(frozen=True)
 class RationalDifferential(Recipe):
     """C[V] with partial derivatives and a finite linear group"""
     n: int
@@ -102,7 +115,6 @@ class RationalDifferential(Recipe):
         return _differential_setting(ring, "rational-differential", group)
 
 
-@dataclass(frozen=True)
 class TrigonometricDifferential(Recipe):
     """Laurent polynomials with Euler operators z d/dz and monomial group"""
     n: int
@@ -120,7 +132,6 @@ class TrigonometricDifferential(Recipe):
                        group_names=names, inf_gens=inf_gens, conj_table=conj)
 
 
-@dataclass(frozen=True)
 class OreFamily(Recipe):
     """k[t] and X = p(t) d/dt, subject to Xt - tX = p(t)"""
     p: tuple  # p(t) = sum p[k] t^k
@@ -141,12 +152,11 @@ class OreFamily(Recipe):
 
     def identities(self, setting):
         X = ore_generator(setting)
-        t = setting.from_ratfunc(setting.ring.var(0))
+        t = setting.variables[0]
         p = setting.from_ratfunc(setting.meta["p"])
         return [_report("ore-relation", (X * t - t * X) == p, "Xt - tX = p(t)")]
 
 
-@dataclass(frozen=True)
 class ShiftFlag(Recipe):
     """k[x_1..x_n] with integer shifts x -> x + mu and a permutation group"""
     n: int
@@ -185,7 +195,6 @@ class ShiftFlag(Recipe):
 _CARTAN = {"A1": ((2,),), "A2": ((2, -1), (-1, 2))}
 
 
-@dataclass(frozen=True)
 class GKVHecke(Recipe):
     """Demazure-Lusztig operators sigma_i = q(u s_i - 1)/(u - 1) - q^-1(s_i - 1)/(u - 1)"""
     cartan: str = "A1"          # "A1" or "A2"
@@ -248,7 +257,6 @@ class GKVHecke(Recipe):
         return reports
 
 
-@dataclass(frozen=True)
 class Cherednik(Recipe):
     """Dunkl operators D_y = t d/dy + sum_s 2c_s/(1-lambda_s) (alpha_s,y)/alpha_s (s - 1)"""
     n: int
@@ -345,8 +353,7 @@ def standard_generators(setting):
     the lattice variables, the group elements, then the distinguished
     operators of its recipe.  Used by the verification drivers."""
     ring = setting.ring
-    gens = [(ring.names[v], setting.from_ratfunc(ring.var(v)))
-            for v in range(ring.nvars)]
+    gens = list(zip(ring.names, setting.variables))
     for w in range(1, setting.group_size):
         gens.append((setting.group_names[w], setting.group_element(w)))
     if setting.recipe is not None:

@@ -37,11 +37,9 @@ subcommand but ``catalog`` runs through ``run``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
-import traceback
 from fractions import Fraction
 from functools import partial
 
@@ -116,21 +114,22 @@ _FIELD_PARSERS = {"int": _int, "str": _str, "tuple": _fractions}
 
 def parse_recipe(doc):
     """The catalog recipe a config's ``recipe`` object names: ``kind``
-    picks the class, and each dataclass field is read from the key of the
-    same name, which may be left out where the field has a default."""
+    picks the class, and each field (an annotated class attribute) is read
+    from the key of the same name, which may be left out where the class
+    gives the field a value, its default."""
     if not isinstance(doc, dict):
         raise UsageError("recipe must be an object, not %r" % (doc,))
     kind = _need(doc, "kind", "recipe")
     cls = cat.RECIPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise UsageError("unknown recipe.kind %r (see the catalog subcommand)" % (kind,))
-    fields = dataclasses.fields(cls)
-    _known_keys(doc, ("kind",) + tuple(f.name for f in fields), "recipe")
+    fields = cls.__dict__.get("__annotations__", {})
+    _known_keys(doc, ("kind",) + tuple(fields), "recipe")
     values = {}
-    for f in fields:
-        if f.name in doc or f.default is dataclasses.MISSING:
-            values[f.name] = _FIELD_PARSERS[f.type](_need(doc, f.name, "recipe"),
-                                                    "recipe." + f.name)
+    for name, kind in fields.items():
+        if name in doc or not hasattr(cls, name):
+            values[name] = _FIELD_PARSERS[kind](_need(doc, name, "recipe"),
+                                                "recipe." + name)
     return cls(**values)
 
 
@@ -557,6 +556,7 @@ def main(argv=None):
         return 4
     except Exception as exc:
         # a fault of the package, never a verdict: exit 1 means counterexample
+        import traceback
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4

@@ -18,12 +18,11 @@ action matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 
 from . import linalg
-from .polyring import Jet, taylor_jet
+from .polyring import Jet, point_label, taylor_jet
 from .sparse import add_into, add_terms, factor, monomial, signed_sum
 from .stabilizer import PointIdeal, full_group_span, stab_group
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
@@ -141,24 +140,27 @@ def distribution_action(element, xi, jet_order):
                                   "grouplike, shift, and primitive parts only")
     result = DistributionVector(ring, [])
     leaked = False
+    # each point is printed once for the jet memo, not once per jet
+    entries = [(coords, table, point_label(coords)) for coords, table in xi.entries]
     for (gp, alpha), coeff in element.sorted_terms():
-        for coords, table in xi.entries:
+        for coords, table, label in entries:
             order = max(sum(a) for a in table)
             if coeff.den.evaluate(coords).is_zero():
                 raise ModuleInputError("has a pole at %s"
                                        % PointIdeal(ring, coords).label())
-            jc = taylor_jet(coeff, coords, order)
+            jc = taylor_jet(coeff, coords, order, label)
             tab = _pull_back(ring, table, order, lambda b: _times(jc, b))
             if not tab:
                 continue
-            q = coords
+            q, qlabel = coords, label
             if not S.gp_is_identity(gp):
                 imgs = list(S.gp_images(gp).values())
                 q = tuple(img.evaluate(coords) for img in imgs)
+                qlabel = point_label(q)
                 # h^b -> psi^b, psi the images' jets less constants (the support
                 # moves to q); psi^b = psi^(b - e_v) psi_v, v last with b_v > 0
                 oo = max(sum(a) for a in tab)
-                psis = [Jet(ring, oo, {e: c for e, c in taylor_jet(img, coords, oo)
+                psis = [Jet(ring, oo, {e: c for e, c in taylor_jet(img, coords, oo, label)
                                        .coeffs.items() if any(e)}) for img in imgs]
                 pows = {}
                 for b in ring.monomials_up_to(oo):
@@ -173,7 +175,8 @@ def distribution_action(element, xi, jet_order):
                     if not tab:
                         break
                     oo = max(sum(a) for a in tab)
-                    jvals = {v: taylor_jet(val, q, oo) for v, val in gen.values.items()}
+                    jvals = {v: taylor_jet(val, q, oo, qlabel)
+                             for v, val in gen.values.items()}
                     tab = _pull_back(ring, tab, oo + 1, lambda b: sum(
                         (_times(jv, _lower(b, v)).scale(b[v])
                          for v, jv in jvals.items() if b[v]), Jet(ring, oo, {})))
@@ -183,21 +186,22 @@ def distribution_action(element, xi, jet_order):
     return result, leaked
 
 
-@dataclass
 class TruncatedModule:
     """A finite slice of the distribution module with exact action matrices."""
 
-    setting: object
-    generator_names: list
-    points: list            # PointIdeal per support point
-    jet_order: int
-    keys: list              # (point index, jet index), the coordinate order
-    basis: list             # rows over keys (echelon, deterministic)
-    pivot_cols: list        # pivot key index per basis row
-    matrices: dict          # generator name -> dim x dim matrix (columns = images)
-    leaks: dict             # generator name -> truncation flag
-    var_matrices: list      # one matrix per ring variable
-    var_leaks: list = field(default_factory=list)
+    def __init__(self, setting, generator_names, points, jet_order, keys, basis,
+                 pivot_cols, matrices, leaks, var_matrices, var_leaks=None):
+        self.setting = setting
+        self.generator_names = generator_names
+        self.points = points              # PointIdeal per support point
+        self.jet_order = jet_order
+        self.keys = keys                  # (point index, jet index), coordinate order
+        self.basis = basis                # rows over keys (echelon, deterministic)
+        self.pivot_cols = pivot_cols      # pivot key index per basis row
+        self.matrices = matrices          # generator name -> matrix, columns = images
+        self.leaks = leaks                # generator name -> truncation flag
+        self.var_matrices = var_matrices  # one matrix per ring variable
+        self.var_leaks = [] if var_leaks is None else var_leaks
 
     @property
     def dim(self):
@@ -343,7 +347,7 @@ def cyclic_module(presentation, point, jet_order, word_length, orbit_window=16):
     for name, g in presentation.generators:
         module.matrices[name], module.leaks[name] = matrix_for(name, g)
     for v in range(ring.nvars):
-        mat, leak = matrix_for(ring.names[v], S.from_ratfunc(ring.var(v)))
+        mat, leak = matrix_for(ring.names[v], S.variables[v])
         module.var_matrices.append(mat)
         module.var_leaks.append(leak)
     return module

@@ -490,18 +490,24 @@ class Jet:
         return self.coeffs.get(tuple(e), self.ring.params.zero)
 
 
-def taylor_jet(value, point, order):
+def point_label(point):
+    """The printed coordinates of a point, the key of the jet memo."""
+    return tuple(str(c) for c in point)
+
+
+def taylor_jet(value, point, order, label=None):
     """Jet of a Poly or RatFunc at a point, exact up to total degree ``order``.
 
     Expansion variables h_i shadow the main variables; the point must avoid
     denominator zeros (and zero coordinates for Laurent variables).
     Memoised on the (immutable) value under the printed point and the
-    order: unequal points never print alike.
+    order: unequal points never print alike.  A caller that expands many
+    values at one point passes its ``label``, ``point_label(point)``.
     """
     memo = getattr(value, "_memo", None)
     if memo is None:
         memo = value._memo = {}
-    key = (tuple(str(c) for c in point), order)
+    key = (label or point_label(point), order)
     if key in memo:
         return memo[key]
     rf = RatFunc.of(value)

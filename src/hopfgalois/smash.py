@@ -20,8 +20,8 @@ The left normal form is unique, so equality compares term by term.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .params import ParamElem
 from .polyring import Poly, RatFunc
@@ -35,9 +35,7 @@ from .sparse import (Ring, add_into, add_terms, factor, monomial, mul_terms, pow
 MAX_GROUP_ORDER = 24
 
 
-class GroupPart(NamedTuple):
-    w: int
-    mu: tuple
+GroupPart = namedtuple("GroupPart", "w mu")
 
 
 class InfGenerator:
@@ -155,8 +153,11 @@ class Setting:
         self.meta = meta or {}
         self.recipe = None  # the catalog recipe, set by catalog.build_setting
         self._conj_mono_cache = {}
+        self._images = {}  # group part -> gp_images
         self._zero_mu = (0,) * self.monoid_rank
         self._zero_alpha = (0,) * len(self.inf_gens)
+        # built once, so that what is memoised on them (jets) is shared
+        self.variables = tuple(self.from_ratfunc(ring.var(v)) for v in range(ring.nvars))
 
     # -- group parts ------------------------------------------------------
 
@@ -182,12 +183,15 @@ class Setting:
         return a.w == 0 and not any(a.mu)
 
     def gp_images(self, a):
-        """{v: (w |> x_v) + mu_v} over every variable, for a = (w, mu)."""
-        subs = self.group_subs[a.w]
-        images = {v: subs[v] if v in subs else self.ring.var(v)
-                  for v in range(self.ring.nvars)}
-        for j, v in enumerate(self.monoid_vars):
-            images[v] = images[v] + a.mu[j]
+        """{v: (w |> x_v) + mu_v} over every variable, for a = (w, mu);
+        memoised per group part, so that the images' jets are too."""
+        images = self._images.get(a)
+        if images is None:
+            subs = self.group_subs[a.w]
+            images = self._images[a] = {v: subs[v] if v in subs else self.ring.var(v)
+                                        for v in range(self.ring.nvars)}
+            for j, v in enumerate(self.monoid_vars):
+                images[v] = images[v] + a.mu[j]
         return images
 
     def gp_act(self, a, value):
@@ -321,7 +325,7 @@ class Setting:
                             "conjugation table is wrong at %s, %s"
                             % (self.group_names[w], gen.name))
         # cross-relation consistency: a small associativity sample
-        sample = [self.one(), self.from_ratfunc(ring.var(0))] if ring.nvars else []
+        sample = [self.one(), self.variables[0]] if ring.nvars else []
         if n > 1:
             sample.append(self.group_element(1))
         if self.inf_gens:

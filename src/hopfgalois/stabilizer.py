@@ -8,7 +8,6 @@ completing at the point; the certificate is exact and replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
@@ -58,16 +57,14 @@ def fixes_point(setting, gp, point):
     return all(a == b for a, b in zip(moved.coords, point.coords))
 
 
-@dataclass
 class GrouplikeSpan:
     """A list of distinct group parts spanning a subcoalgebra of the coradical."""
 
-    setting: object
-    members: list  # of GroupPart
-
-    def __post_init__(self):
+    def __init__(self, setting, members):
+        self.setting = setting
+        self.members = members  # of GroupPart
         seen = []
-        for g in self.members:
+        for g in members:
             if g in seen:
                 raise ValueError("duplicate grouplike in span")
             seen.append(g)
@@ -76,15 +73,13 @@ class GrouplikeSpan:
         return [self.setting.gp_name(g) for g in self.members]
 
 
-@dataclass
 class Reductor:
     """R = sum_i r_i (x) s_i in (lattice) (x) (lattice)."""
 
-    pairs: list  # of (Poly, Poly)
-
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(self, pairs):
+        if not pairs:
             raise ValueError("a reductor needs at least one pair")
+        self.pairs = pairs  # of (Poly, Poly)
 
     def product(self, other):
         pairs = []

@@ -10,7 +10,6 @@ replay.  A check states its name, bounds and provenance once, as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import linalg
@@ -22,13 +21,13 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive-at-bound"
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
-    provenance: str = ""
+    def __init__(self, check, status, witness=None, bounds=None, provenance=""):
+        self.check = check
+        self.status = status
+        self.witness = {} if witness is None else witness
+        self.bounds = {} if bounds is None else bounds
+        self.provenance = provenance
 
     def to_dict(self):
         return {
@@ -40,12 +39,12 @@ class VerificationReport:
         }
 
 
-@dataclass
 class OrderPresentation:
     """A candidate order: named generators inside one setting."""
 
-    setting: object
-    generators: list  # [(name, SmashElement)]
+    def __init__(self, setting, generators):
+        self.setting = setting
+        self.generators = generators  # [(name, SmashElement)]
 
     def names(self):
         return [n for n, _ in self.generators]

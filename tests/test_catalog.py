@@ -1,5 +1,6 @@
 """Recipes and the distinguished operators they carry."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hopfgalois.catalog import (RECIPES, Cherednik, GKVHecke, OreFamily,
                                 TrigonometricDifferential, build_setting,
                                 demazure_lusztig, dunkl_operator, ore_generator,
                                 quantum_borel_E, standard_generators)
-from hopfgalois.cli import parse_recipe
+from hopfgalois.cli import main, parse_recipe
 from hopfgalois.polyring import RatFunc
 from hopfgalois.smash import MAX_GROUP_ORDER, Setting
 
@@ -248,6 +249,74 @@ def test_recipe_fields_are_the_config_keys():
         OreFamily(p=(0, Fraction(1, 2)))
     assert parse_recipe({"kind": "shift-flag", "n": 2, "group": "S2"}) == \
         ShiftFlag(2, "S2")
+
+
+# kind -> (the required keys, every field with its value when only those
+# are given, a positional construction, and its fields)
+RECIPE_TABLE = {
+    "quantum-borel": ({}, {}, (), {}),
+    "rational-differential": ({"n": 1}, {"n": 1, "group": "trivial"},
+                              (2, "S2"), {"n": 2, "group": "S2"}),
+    "trigonometric-differential": ({"n": 1}, {"n": 1, "group": "trivial"},
+                                   (1, "inversion"), {"n": 1, "group": "inversion"}),
+    "ore": ({"p": ["0", "1/2"]}, {"p": (0, Fraction(1, 2))},
+            ((1, 2),), {"p": (1, 2)}),
+    "shift-flag": ({"n": 1}, {"n": 1, "group": "trivial"},
+                   (2, "S2"), {"n": 2, "group": "S2"}),
+    "gkv-hecke": ({}, {"cartan": "A1", "variant": "multiplicative"},
+                  ("A2", "additive"), {"cartan": "A2", "variant": "additive"}),
+    "cherednik": ({"n": 2}, {"n": 2, "group": "S2"},
+                  (3, "S3"), {"n": 3, "group": "S3"}),
+}
+
+# kind -> the usage errors of a config without a required key and of one
+# with an unknown key, as the CLI prints them
+RECIPE_ERRORS = {
+    "quantum-borel": (None, "unknown config field: recipe.bogus (known: kind)"),
+    "rational-differential": ("missing config field: recipe.n",
+                              "unknown config field: recipe.bogus (known: kind, n, group)"),
+    "trigonometric-differential": ("missing config field: recipe.n",
+                                   "unknown config field: recipe.bogus "
+                                   "(known: kind, n, group)"),
+    "ore": ("missing config field: recipe.p",
+            "unknown config field: recipe.bogus (known: kind, p)"),
+    "shift-flag": ("missing config field: recipe.n",
+                   "unknown config field: recipe.bogus (known: kind, n, group)"),
+    "gkv-hecke": (None, "unknown config field: recipe.bogus (known: kind, cartan, variant)"),
+    "cherednik": ("missing config field: recipe.n",
+                  "unknown config field: recipe.bogus (known: kind, n, group)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECIPE_TABLE))
+def test_recipe_table_defaults_positions_and_usage_errors(kind, tmp_path, capsys):
+    cls = RECIPES[kind]
+    required, fields, args, positional = RECIPE_TABLE[kind]
+    recipe = parse_recipe(dict(required, kind=kind))
+    assert type(recipe) is cls
+    assert {name: getattr(recipe, name) for name in fields} == fields
+    built = cls(*args)
+    assert {name: getattr(built, name) for name in positional} == positional
+    assert built == cls(**positional)
+    assert list(positional) == list(fields)
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(bogus=1)
+    if required:
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):  # the first field twice
+            cls(*args[:1], **{next(iter(positional)): args[0]})
+    missing, unknown = RECIPE_ERRORS[kind]
+    docs = [(dict(required, kind=kind, bogus=1), unknown)]
+    if missing is not None:
+        docs.append(({"kind": kind}, missing))
+    for doc, message in docs:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"recipe": doc}))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "usage error: %s\n" % message
 
 
 def test_operator_guards_reject_other_settings():

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hopfgalois.numberfield import NumberField, ZeroDivisorError
 from hopfgalois.params import ParamField
-from hopfgalois.polyring import Poly, PolyRing, RatFunc, taylor_jet, try_divide
+from hopfgalois.polyring import (Poly, PolyRing, RatFunc, point_label, taylor_jet,
+                                 try_divide)
 from hopfgalois import linalg
 from oracles import constant_value
 
@@ -355,6 +356,22 @@ def test_taylor_jet_geometric_series():
     assert taylor_jet(f, (pf.from_fraction(0),), 4) is jet
     assert taylor_jet(f, (pf.from_fraction(0),), 2).order == 2
     assert taylor_jet(f, (pf.from_fraction(2),), 4)[(1,)] == pf.one
+
+
+def test_taylor_jet_memo_keys_an_equal_point_by_its_print():
+    pf = ParamField(())
+    R = PolyRing(("x", "y"), params=pf)
+    f = RatFunc(R.var(0) + R.var(1), R.one - R.var(1))
+    p = (pf.from_fraction(Fraction(1, 3)), pf.from_fraction(-2))
+    q = tuple(pf.from_fraction(c) for c in (Fraction(1, 3), -2))
+    assert p is not q and p[0] is not q[0]
+    jet = taylor_jet(f, p, 2)
+    # an equal point in another tuple of other elements, with or without
+    # the printed label a caller passes in, finds the same jet
+    assert taylor_jet(f, q, 2) is jet
+    assert taylor_jet(f, list(q), 2, point_label(q)) is jet
+    assert point_label(q) == ("1/3", "-2")
+    assert taylor_jet(f, (p[1], p[0]), 2) is not jet
 
 
 def test_taylor_jet_at_shifted_point():

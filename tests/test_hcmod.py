@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hopfgalois import linalg
+from hopfgalois import hcmod, linalg
 from hopfgalois.catalog import (Cherednik, OreFamily, QuantumBorel,
                                 RationalDifferential, ShiftFlag,
                                 TrigonometricDifferential, build_setting,
@@ -101,6 +101,26 @@ def test_grouplike_transport():
     coords, tab = out.entries[0]
     assert [str(c) for c in coords] == ["2", "1"]
     assert list(tab) == [(0, 1)]
+
+
+def test_module_expands_jets_on_one_object_per_variable(monkeypatch):
+    S = build_setting(RationalDifferential(2, "Z3"))
+    pf = S.ring.params
+    point = PointIdeal(S.ring, [pf.from_fraction(1), pf.from_fraction(2)])
+    gens = standard_generators(S)
+    assert all(g is x for (_, g), x in zip(gens, S.variables))
+    g = S.gp(1)
+    assert S.gp_images(g) is S.gp_images(S.gp(1))
+    expanded = []
+    jet = hcmod.taylor_jet
+    monkeypatch.setattr(hcmod, "taylor_jet",
+                        lambda value, *args: expanded.append(value) or jet(value, *args))
+    cyclic_module(OrderPresentation(S, gens), point, 1, 1)
+    # the variables' matrices reuse the generators' elements, so their
+    # jets are memoised on one coefficient per variable
+    for v, name in enumerate(S.ring.names):
+        values = {id(x) for x in expanded if isinstance(x, RatFunc) and str(x) == name}
+        assert values == {id(coeff) for coeff in S.variables[v].terms.values()}
 
 
 def test_twisted_generator_not_transportable():
