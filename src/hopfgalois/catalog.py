@@ -1,9 +1,8 @@
 """Constructors for the concrete settings and their distinguished operators.
 
 Each recipe is one class, and the one place that knows its family.  The
-keys of ``recipe`` are its fields, its annotated class attributes (``n:
-int``, or ``group: str = "trivial"`` with a default); its docstring is the
-summary that ``hopfgalois catalog`` prints, and it provides
+keys of ``recipe`` are its ``fields()``, its annotated class attributes; its
+docstring is the summary that ``hopfgalois catalog`` prints, and it provides
 
 * ``build()``: the :class:`~hopfgalois.smash.Setting`;
 * ``operators(setting)``: the named distinguished operators, which
@@ -48,16 +47,19 @@ from .verify import COUNTEREXAMPLE, VERIFIED, VerificationReport
 class Recipe:
     """Base of the catalog recipes (see the module docstring)."""
 
+    @classmethod
+    def fields(cls):
+        """{name: (type name, has a default)} over the annotated class attributes."""
+        return {name: (type_name, hasattr(cls, name))
+                for name, type_name in cls.__dict__.get("__annotations__", {}).items()}
+
     def __init__(self, *args, **kwargs):
-        cls = type(self)
-        names = tuple(cls.__dict__.get("__annotations__", {}))
-        values = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
-        values.update(zip(names, args))
-        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
-            raise TypeError("%s() takes the fields %s" % (cls.__name__, names))
-        values.update(kwargs)
-        if len(values) < len(names):
-            raise TypeError("%s() needs the fields %s" % (cls.__name__, names))
+        fields = self.fields()
+        values = {n: getattr(self, n) for n, (_, default) in fields.items() if default}
+        values.update(zip(fields, args), **kwargs)
+        if (len(args) > len(fields) or not set(kwargs) <= set(list(fields)[len(args):])
+                or len(values) < len(fields)):
+            raise TypeError("%s() takes the fields %s" % (type(self).__name__, tuple(fields)))
         self.__dict__.update(values)
 
     def __eq__(self, other):

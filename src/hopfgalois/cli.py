@@ -114,22 +114,21 @@ _FIELD_PARSERS = {"int": _int, "str": _str, "tuple": _fractions}
 
 def parse_recipe(doc):
     """The catalog recipe a config's ``recipe`` object names: ``kind``
-    picks the class, and each field (an annotated class attribute) is read
-    from the key of the same name, which may be left out where the class
-    gives the field a value, its default."""
+    picks the class, and each of its ``fields()`` is read from the key of
+    the same name, which may be left out where the field has a default."""
     if not isinstance(doc, dict):
         raise UsageError("recipe must be an object, not %r" % (doc,))
     kind = _need(doc, "kind", "recipe")
     cls = cat.RECIPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise UsageError("unknown recipe.kind %r (see the catalog subcommand)" % (kind,))
-    fields = cls.__dict__.get("__annotations__", {})
+    fields = cls.fields()
     _known_keys(doc, ("kind",) + tuple(fields), "recipe")
     values = {}
-    for name, kind in fields.items():
-        if name in doc or not hasattr(cls, name):
-            values[name] = _FIELD_PARSERS[kind](_need(doc, name, "recipe"),
-                                                "recipe." + name)
+    for name, (type_name, default) in fields.items():
+        if name in doc or not default:
+            values[name] = _FIELD_PARSERS[type_name](_need(doc, name, "recipe"),
+                                                     "recipe." + name)
     return cls(**values)
 
 

@@ -153,7 +153,6 @@ class Setting:
         self.meta = meta or {}
         self.recipe = None  # the catalog recipe, set by catalog.build_setting
         self._conj_mono_cache = {}
-        self._images = {}  # group part -> gp_images
         self._zero_mu = (0,) * self.monoid_rank
         self._zero_alpha = (0,) * len(self.inf_gens)
         # built once, so that what is memoised on them (jets) is shared
@@ -183,15 +182,12 @@ class Setting:
         return a.w == 0 and not any(a.mu)
 
     def gp_images(self, a):
-        """{v: (w |> x_v) + mu_v} over every variable, for a = (w, mu);
-        memoised per group part, so that the images' jets are too."""
-        images = self._images.get(a)
-        if images is None:
-            subs = self.group_subs[a.w]
-            images = self._images[a] = {v: subs[v] if v in subs else self.ring.var(v)
-                                        for v in range(self.ring.nvars)}
-            for j, v in enumerate(self.monoid_vars):
-                images[v] = images[v] + a.mu[j]
+        """{v: (w |> x_v) + mu_v} over every variable, for a = (w, mu)."""
+        subs = self.group_subs[a.w]
+        images = {v: subs[v] if v in subs else self.ring.var(v)
+                  for v in range(self.ring.nvars)}
+        for j, v in enumerate(self.monoid_vars):
+            images[v] = images[v] + a.mu[j]
         return images
 
     def gp_act(self, a, value):
