@@ -209,6 +209,21 @@ class ParamElem(Field):
     def is_one(self):
         return self.num == self.den
 
+    def residue(self, p):
+        """This element mod the prime p, an int in [0, p), for a rational
+        whose denominator p does not divide; None otherwise, and for every
+        element of a field with parameters or over a proper extension of Q."""
+        field = self.field
+        if field.nparams or field.nf.degree > 1:
+            return None
+        if not self.num:
+            return 0
+        (a,), (d,) = self.num[()], self.den[()]
+        den = a.denominator * d.numerator
+        if den % p == 0:
+            return None
+        return a.numerator * d.denominator * pow(den, -1, p) % p
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):

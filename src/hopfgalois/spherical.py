@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from . import linalg
 from .polyring import RatFunc, try_divide
-from .verify import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, VerificationReport,
-                     normal_form_keys)
+from .verify import COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, VerificationReport
 
 
 def idempotent(setting):
@@ -113,7 +113,10 @@ def morita_witness(presentation, word_length):
 
     Sets up sum_{i,j} c_{ij} A_i e B_j = 1 with A_i, B_j generator words of
     length <= d and scalar unknowns over the parameter field; returns the
-    witness combination or inconclusive-at-bound.
+    witness combination or inconclusive-at-bound.  Each product A_i e B_j
+    is folded into the sparse rows of the system as soon as it is formed,
+    and dropped; only the index pairs are kept, and the replay forms again
+    just the products whose coefficient is nonzero.
     """
     report = partial(VerificationReport, "morita-witness",
                      bounds={"word-length": word_length},
@@ -121,7 +124,6 @@ def morita_witness(presentation, word_length):
                                 "its centralizer")
     S = presentation.setting
     ring = S.ring
-    params = ring.params
     if S.group_size == 1:
         return report(VERIFIED, {"combination": [["1", "1", "1"]],
                                  "note": "trivial group: e = 1"})
@@ -133,48 +135,65 @@ def morita_witness(presentation, word_length):
     # first word of each distinct nonzero a*e and e*b gives the same witness.
     aes = [a * e for _, a in words]
     right = _first_distinct([e * b for _, b in words])
-    products = [(words[i][0], words[j][0], aes[i] * words[j][1])
-                for i in _first_distinct(aes) for j in right]
+    pairs = [(i, j) for i in _first_distinct(aes) for j in right]
+
+    def product(col):
+        i, j = pairs[col]
+        return aes[i] * words[j][1]
+
+    n = len(pairs)
     target = S.one()
-    keys = normal_form_keys([p for _, _, p in products] + [target])
-    # per normal-form key: clear denominators once, then match per monomial
-    zero_rf = RatFunc.of(ring.zero)
-    rows_by_mono = {}
-    rhs_by_mono = {}
-    for kidx, key in enumerate(keys):
-        coeffs = [p.terms.get(key, zero_rf) for _, _, p in products]
-        tcoeff = target.terms.get(key, zero_rf)
-        # every key has a nonzero coefficient, so some denominator enters den_all
-        den_all = _common_denominator(ring, coeffs + [tcoeff])
-        for idx, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            for exps, coeff in _clear(c, den_all).terms.items():
-                row = rows_by_mono.setdefault((kidx, exps),
-                                              [params.zero] * len(products))
-                row[idx] = row[idx] + coeff
-        if not tcoeff.is_zero():
-            for exps, coeff in _clear(tcoeff, den_all).terms.items():
-                rhs_by_mono[(kidx, exps)] = \
-                    rhs_by_mono.get((kidx, exps), params.zero) + coeff
-    all_rows = sorted(set(rows_by_mono) | set(rhs_by_mono))
-    matrix = []
-    rhs = []
-    for rk in all_rows:
-        matrix.append(rows_by_mono.get(rk, [params.zero] * len(products)))
-        rhs.append(rhs_by_mono.get(rk, params.zero))
-    sol = linalg.solve(matrix, [rhs])[0] if matrix else None
+    # the target is column n of the fold, then the right-hand side
+    rows = _fold(ring, chain(((col, product(col)) for col in range(n)),
+                             [(n, target)]))
+    rhs = {r: row.pop(n) for r, row in enumerate(rows) if n in row}
+    (sol,) = linalg.solve(rows, n, [rhs])
     if sol is None:
         return report(INCONCLUSIVE, {"words": len(words)})
     combo = []
     total = S.zero()
-    for c, (aname, bname, prod) in zip(sol, products):
-        if not c.is_zero():
-            combo.append([aname, bname, str(c)])
-            total = total + prod.scale(RatFunc.of(ring.const(c)))
+    for col, c in sol.items():
+        i, j = pairs[col]
+        combo.append([words[i][0], words[j][0], str(c)])
+        total = total + product(col).scale(RatFunc.of(ring.const(c)))
     if not (total == target):
         raise AssertionError("witness replay failed")
     return report(VERIFIED, {"combination": combo})
+
+
+def _fold(ring, columns):
+    """The rows of sum_k x_k X_k over the normal-form monomials, sparse.
+
+    ``columns`` yields (k, X_k) in increasing k, and each X_k is dropped
+    once folded in.  Each normal-form key clears its coefficients over D,
+    the product of the distinct denominators it has seen so far: a new
+    denominator d multiplies D and the key's cleared coefficients by d, so
+    in the end every key is cleared over the product of all its distinct
+    denominators, in order of arrival.  A row is {k: coefficient} for one
+    (key, main-variable monomial), rows sorted by both.
+    """
+    cleared = {}   # key -> [distinct denominators, D, {k: cleared poly}]
+    for k, x in columns:
+        for key, c in x.terms.items():
+            state = cleared.get(key)
+            if state is None:
+                state = cleared[key] = [[], ring.one, {}]
+            dens, D, polys = state
+            if not any(c.den == d for d in dens):
+                dens.append(c.den)
+                D = state[1] = D * c.den
+                for earlier, poly in polys.items():
+                    polys[earlier] = poly * c.den
+            # a constant D means every denominator so far is 1
+            polys[k] = c.num if D.is_constant() else c.num * try_divide(D, c.den)
+    rows = []
+    for key in sorted(cleared):
+        by_mono = {}
+        for k, poly in cleared.pop(key)[2].items():
+            for exps, coeff in poly.terms.items():
+                by_mono.setdefault(exps, {})[k] = coeff
+        rows.extend(by_mono[exps] for exps in sorted(by_mono))
+    return rows
 
 
 def _first_distinct(values):
@@ -184,23 +203,3 @@ def _first_distinct(values):
         if not v.is_zero() and not any(v == values[k] for k in kept):
             kept.append(i)
     return kept
-
-
-def _common_denominator(ring, rfs):
-    """The product of the distinct denominators of the nonzero ``rfs``."""
-    dens = []
-    for c in rfs:
-        if not c.is_zero() and not any(c.den == d for d in dens):
-            dens.append(c.den)
-    total = ring.one
-    for d in dens:
-        total = total * d
-    return total
-
-
-def _clear(rf, den_all):
-    if den_all.is_constant():
-        # every denominator divides a constant, so each is already 1
-        return rf.num
-    # rf.den is one factor of den_all, so the division is exact
-    return rf.num * try_divide(den_all, rf.den)

@@ -214,16 +214,15 @@ def generation_witness(presentation, word_length=2):
     generator words: the sufficient witness that the order spans the whole
     smash product over the fraction field.
 
-    Solves exactly over the fraction field, one elimination of the word
-    columns for all targets; inconclusive-at-bound, naming the first target
-    outside the words' span, when the word pool is too short.
+    Solves exactly over the fraction field, one elimination of the sparse
+    word columns for all targets; inconclusive-at-bound, naming the first
+    target outside the words' span, when the word pool is too short.
     """
     report = partial(VerificationReport, "generation-witness",
                      bounds={"word-length": word_length},
                      provenance="every coideal generator is reachable as an "
                                 "L-combination of order elements")
     S = presentation.setting
-    ring = S.ring
     words = presentation.words(word_length)
     targets = []
     for w in range(1, S.group_size):
@@ -232,17 +231,17 @@ def generation_witness(presentation, word_length=2):
         targets.append((gen.name, S.inf_element(j)))
     if not targets:
         return report(VERIFIED, {"note": "no coideal generators beyond the lattice"})
-    zero = RatFunc.of(ring.zero)
     keys = normal_form_keys([w for _, w in words] + [t for _, t in targets])
-    matrix = [[w.terms.get(k, zero) for _, w in words] for k in keys]
-    sols = linalg.solve(matrix, [[t.terms.get(k, zero) for k in keys]
-                                 for _, t in targets])
+    rows = [{j: w.terms[k] for j, (_, w) in enumerate(words) if k in w.terms}
+            for k in keys]
+    sols = linalg.solve(rows, len(words), [
+        {i: t.terms[k] for i, k in enumerate(keys) if k in t.terms}
+        for _, t in targets])
     combos = {}
     for (tname, _), sol in zip(targets, sols):
         if sol is None:
             return report(INCONCLUSIVE, {"unreached": tname})
-        combos[tname] = [[wname, str(c)] for (wname, _), c in zip(words, sol)
-                         if not c.is_zero()]
+        combos[tname] = [[words[j][0], str(c)] for j, c in sol.items()]
     return report(VERIFIED, {"combinations": combos})
 
 

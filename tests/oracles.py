@@ -8,8 +8,9 @@ from math import factorial
 
 from hopfgalois import linalg
 from hopfgalois.hcmod import DistributionVector
-from hopfgalois.polyring import RatFunc, taylor_jet
+from hopfgalois.polyring import RatFunc, taylor_jet, try_divide
 from hopfgalois.sparse import add_into, add_terms
+from hopfgalois.spherical import idempotent
 from hopfgalois.verify import normal_form_keys
 
 
@@ -23,6 +24,51 @@ def left_rank_oracle(elements):
     zero = RatFunc.of(ring.zero)
     rows = [[x.terms.get(k, zero) for k in keys] for x in elements]
     return linalg.rank(rows)
+
+
+def morita_rows_oracle(presentation, word_length):
+    """The sparse rows of the Morita system built with every product alive
+    at once, as ``spherical.morita_witness`` built them before it streamed.
+
+    One column per product a*e*b over the first word of each distinct
+    nonzero a*e and e*b, and the target 1 as the last column.  Each
+    normal-form key clears its coefficients over the product of all its
+    distinct denominators, in column order.  Rows are sorted by key, then by
+    monomial.  Returns (rows, the most distinct denominators at one key).
+    """
+    S = presentation.setting
+    e = idempotent(S)
+    words = presentation.words(word_length)
+    aes = [a * e for _, a in words]
+    right = first_distinct([e * b for _, b in words])
+    columns = [aes[i] * words[j][1] for i in first_distinct(aes)
+               for j in right] + [S.one()]
+    rows, most = [], 0
+    for key in normal_form_keys(columns):
+        coeffs = [(k, x.terms[key]) for k, x in enumerate(columns) if key in x.terms]
+        dens = []
+        for _, c in coeffs:
+            if not any(c.den == d for d in dens):
+                dens.append(c.den)
+        most = max(most, len(dens))
+        den_all = S.ring.one
+        for d in dens:
+            den_all = den_all * d
+        by_mono = {}
+        for k, c in coeffs:
+            for exps, coeff in (c.num * try_divide(den_all, c.den)).terms.items():
+                by_mono.setdefault(exps, {})[k] = coeff
+        rows.extend(by_mono[exps] for exps in sorted(by_mono))
+    return rows, most
+
+
+def first_distinct(values):
+    """Indices of the first occurrence of each distinct nonzero value."""
+    kept = []
+    for i, v in enumerate(values):
+        if not v.is_zero() and not any(v == values[k] for k in kept):
+            kept.append(i)
+    return kept
 
 
 def invariant_coordinate_subspaces(matrices, dim):

@@ -458,7 +458,8 @@ def test_linalg_rank_det_solve():
     assert linalg.rank(m) == 1
     m2 = [[one, q], [q, one]]
     assert linalg.det(m2) == one - q * q
-    (sol,) = linalg.solve(m2, [[one + q, one + q]])
+    (sol,) = linalg.solve([dict(enumerate(row)) for row in m2], 2,
+                          [{0: one + q, 1: one + q}])
     assert sol is not None
     lhs = [m2[i][0] * sol[0] + m2[i][1] * sol[1] for i in range(2)]
     assert lhs[0] == one + q and lhs[1] == one + q

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from hopfgalois import linalg
+from hopfgalois.numberfield import NumberField
 from hopfgalois.params import ParamElem, ParamField
 from oracles import constant_value
 
@@ -103,6 +104,38 @@ def test_row_reduce_rank_and_nullspace_match_sympy(rows):
         [sympy_values(v.T)[0] for v in to_sympy(rows).nullspace()]
 
 
+def to_sparse(rows):
+    return [{j: PF.from_fraction(x) for j, x in enumerate(row) if x}
+            for row in rows]
+
+
+def solve_fractions(rows, columns):
+    """``linalg.solve`` on a dense system of Fractions: each answer as a
+    dense list of Fractions, or None."""
+    n = len(rows[0])
+    xs = linalg.solve(to_sparse(rows), n, [
+        {i: PF.from_fraction(b) for i, b in enumerate(col) if b}
+        for col in columns])
+    assert len(xs) == len(columns)
+    return [None if x is None else [value(x[j]) if j in x else 0
+                                    for j in range(n)] for x in xs]
+
+
+def sympy_solutions(rows, columns):
+    """sympy's canonical solution of each side: pivots in the leftmost
+    columns, every free variable zero; None where the side is inconsistent."""
+    a = to_sympy(rows)
+    out = []
+    for col in columns:
+        try:
+            sol, free = a.gauss_jordan_solve(to_sympy([[v] for v in col]))
+        except ValueError:
+            out.append(None)
+            continue
+        out.append(sympy_values(sol.subs({t: 0 for t in free}).T)[0])
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_systems())
 # rank 1 of 2 rows: the middle side is inconsistent, the outer two are not
@@ -111,20 +144,71 @@ def test_row_reduce_rank_and_nullspace_match_sympy(rows):
            [Fraction(2), Fraction(0)]]))
 def test_solve_matches_sympy(system):
     rows, columns = system
-    xs = linalg.solve(to_params(rows), [[PF.from_fraction(b) for b in col]
-                                        for col in columns])
-    assert len(xs) == len(columns)
-    a = to_sympy(rows)
-    for x, col in zip(xs, columns):
-        try:
-            sol, free = a.gauss_jordan_solve(to_sympy([[v] for v in col]))
-        except ValueError:
-            assert x is None
-            continue
-        # the particular solution with every free variable zero
-        sol = sol.subs({t: 0 for t in free})
-        assert x is not None
-        assert [value(v) for v in x] == sympy_values(sol.T)[0]
+    assert solve_fractions(rows, columns) == sympy_solutions(rows, columns)
+
+
+# Systems on which the elimination mod P alone would mislead: a multiple of
+# P vanishes there, and over Q it does not.
+P = Fraction(linalg.P)
+BAD_PRIME_SYSTEMS = [
+    # inconsistent mod P, but x = 1/P over Q
+    ([[P]], [[Fraction(1)]]),
+    # the pivot mod P is in column 1, over Q in column 0: x = (1/P, 0)
+    ([[P, Fraction(1)]], [[Fraction(1)]]),
+    # rank 2, rank 1 mod P: the first side needs the second row, the
+    # second side is solved by the first row alone
+    ([[Fraction(1), Fraction(1)], [Fraction(1), 1 + P]],
+     [[Fraction(2), 2 + P], [Fraction(1), Fraction(1)]]),
+    # consistent mod P, inconsistent over Q
+    ([[Fraction(1)], [Fraction(1)]], [[Fraction(0), P]]),
+    # b vanishes mod P, so the solution mod P is 0; over Q it is not
+    ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], [[P, Fraction(0)]]),
+    # the denominator P has no residue at all
+    ([[1 / P, Fraction(1)]], [[Fraction(1)]]),
+]
+
+
+@pytest.mark.parametrize("rows, columns", BAD_PRIME_SYSTEMS)
+def test_solve_is_exact_where_the_prime_misleads(rows, columns):
+    assert solve_fractions(rows, columns) == sympy_solutions(rows, columns)
+
+
+def test_residue_is_defined_over_q_only():
+    assert PF.from_fraction(Fraction(1, 2)).residue(7) == 4
+    assert PF.from_fraction(Fraction(-3)).residue(7) == 4
+    assert PF.zero.residue(7) == 0
+    assert PF.from_fraction(Fraction(7, 2)).residue(7) == 0
+    assert PF.from_fraction(Fraction(2, 7)).residue(7) is None
+    z3 = ParamField((), NumberField.cyclotomic(3))
+    assert z3.one.residue(7) is None
+    assert ParamField(("q",)).one.residue(7) is None
+
+
+def test_solve_over_q_zeta3():
+    """No entry has a residue: the exact elimination alone decides."""
+    F = ParamField((), NumberField.cyclotomic(3))
+    one, z = F.one, F.from_nf((0, 1))
+    rows = [{0: z, 2: one}, {1: one, 2: z}]
+    x, y = linalg.solve(rows, 3, [{0: one, 1: z}, {0: z * z, 1: one}])
+    # z^3 = 1: x = (z^2, z, 0); the second side is solved by (z, 1, 0)
+    assert list(x) == [0, 1] and x[0] == z * z and x[1] == z
+    assert list(y) == [0, 1] and y[0] == z and y[1] == one
+    assert linalg.solve(rows + [{0: one, 1: one, 2: z + z * z}], 3,
+                        [{0: one, 1: z}])[0] is None
+
+
+def test_solve_with_one_parameter():
+    F = ParamField(("q",))
+    one, q = F.one, F.param("q")
+    rows = [{0: q, 1: one}, {0: one, 2: q}]
+    # the pivots are columns 0 and 1, so the free column 2 stays 0
+    (x,) = linalg.solve(rows, 3, [{0: q * q, 1: q}])
+    assert x == {0: q}
+
+
+def test_solve_with_no_rows_gives_the_zero_vector():
+    assert linalg.solve([], 3, [{}, {}]) == [{}, {}]
+    assert linalg.solve([{}, {}], 2, [{}, {1: PF.one}]) == [{}, None]
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,15 +248,17 @@ def test_elimination_does_no_arithmetic_on_zeros(monkeypatch):
             [1, 0, 0, 0, 0],
             [0, 4, 0, 0, 0]]
     matrix = to_params([[Fraction(x) for x in row] for row in rows])
-    columns = [[PF.from_fraction(Fraction(b)) for b in rhs]
+    sparse = to_sparse([[Fraction(x) for x in row] for row in rows])
+    columns = [{i: PF.from_fraction(Fraction(b)) for i, b in enumerate(rhs) if b}
                for rhs in ((1, 0, 2, 1), (3, 6, 0, 4))]
     square = to_params([[Fraction(x) for x in row]
                         for row in ([2, 0, 0, 1], [0, 0, 3, 0],
                                     [1, 0, 0, 0], [0, 5, 0, 1])])
     monkeypatch.setattr(ParamElem, "__mul__", guarded(mul))
     monkeypatch.setattr(ParamElem, "__truediv__", guarded(div))
-    x, y = linalg.solve(matrix, columns)
-    assert [value(v) for v in x] == [2, Fraction(1, 4), 0, 0, Fraction(1, 2)]
-    assert [value(v) for v in y] == [0, 1, 0, 2, 1]
+    x, y = linalg.solve(sparse, 5, columns)
+    assert {j: value(v) for j, v in x.items()} == \
+        {0: 2, 1: Fraction(1, 4), 4: Fraction(1, 2)}
+    assert {j: value(v) for j, v in y.items()} == {1: 1, 3: 2, 4: 1}
     assert value(linalg.det(square)) == -15
     assert len(linalg.nullspace(matrix)) == 1
