@@ -6,10 +6,10 @@ root check, and a reducible m surfaces later as a zero-divisor error on
 inversion).  Field elements are plain tuples of exact rationals of length
 deg(m), always reduced mod m, so tuple equality and hashing are the
 semantic ones.  A component is an ``int`` or a ``Fraction``: the
-constructors and ``inv`` store an integral rational as an ``int``, whose
-arithmetic is cheaper, while an integral sum or product of Fractions may
-stay a ``Fraction``; the two compare, hash and print alike.  Every
-division is a ``Fraction`` division, so no component is ever a float.
+constructors, ``add``, ``sub``, ``mul`` and ``inv`` store an integral
+rational as an ``int``, whose arithmetic is cheaper (the two compare, hash
+and print alike).  Every division is a ``Fraction`` division, so no
+component is ever a float.
 Degree 1 is plain Q with one-component elements.  The class of z prints
 as ``zeta``, and an irrational element as a parenthesised sum in rising
 powers, ``(-1 + 1/2*zeta^3)``, through the printer of
@@ -30,6 +30,8 @@ from .sparse import monomial, signed_sum
 
 def _exact(x):
     """The rational x as an int when it is integral, else as it is."""
+    if type(x) is int:  # most results: cheaper than reading its denominator
+        return x
     return x.numerator if x.denominator == 1 else x
 
 
@@ -151,27 +153,27 @@ class NumberField:
 
     def add(self, a, b):
         if self.degree == 1:
-            return (a[0] + b[0],)
-        return tuple(x + y for x, y in zip(a, b))
+            return (_exact(a[0] + b[0]),)
+        return tuple(_exact(x + y) for x, y in zip(a, b))
 
     def sub(self, a, b):
         if self.degree == 1:
-            return (a[0] - b[0],)
-        return tuple(x - y for x, y in zip(a, b))
+            return (_exact(a[0] - b[0]),)
+        return tuple(_exact(x - y) for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
         if self.degree == 1:
-            return (a[0] * b[0],)
+            return (_exact(a[0] * b[0]),)
         prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return tuple(self._reduce(prod))
+        return tuple(map(_exact, self._reduce(prod)))
 
     def _reduce(self, coeffs):
         # Not poly_divmod: this is the kernel of every mul, and reducing mod

@@ -11,9 +11,8 @@ cross-multiplication, or over equal denominators by comparing the
 numerators, never by comparing stored representations.  A lattice element
 built from a polynomial, and a sum or product of lattice elements, is
 stored without normalization, which over the denominator 1 would change
-nothing.  A sum over two different denominators is taken over the larger
-one when one divides the other, which is then their lcm, and over their
-product only when neither does.
+nothing.  Denominators are kept as products of factor powers, and a sum is
+taken over a common multiple of the factors, found by exact division only.
 
 Substitution images are lattice elements, so substituting into a
 polynomial is polynomial arithmetic; only units (monomials, whose
@@ -282,45 +281,122 @@ def try_divide(num, den):
     return Poly(ring, quo).shift_monomial(back)
 
 
-class RatFunc(Field):
-    """A fraction of polynomials, normalized but compared by cross-multiplication;
-    over equal denominators, equality compares the numerators.
+def _merge(rows, f, ea, eb):
+    """Add (ea, eb) to the exponents of factor f in rows, or append its row."""
+    for row in rows:
+        if row[0].terms == f.terms:
+            row[1] += ea
+            row[2] += eb
+            return
+    rows.append([f, ea, eb])
 
-    a/d1 + b/d2 is over d2 when d1 divides d2 (and over d1 when d2 divides
-    d1), tested by ``try_divide``; otherwise over d1*d2, or 0 over 1 when
-    the numerator cancels.  Denominators are never gcd-reduced beyond this.
+
+def _rows(a, b):
+    """[factor, exponent in a, exponent in b] for each distinct factor."""
+    rows = []
+    for f, e in a:
+        _merge(rows, f, e, 0)
+    for f, e in b:
+        _merge(rows, f, 0, e)
+    return rows
+
+
+def _times(a, b):
+    """The product of two factored denominators: equal factors add exponents."""
+    return tuple((f, ea + eb) for f, ea, eb in _rows(a, b))
+
+
+def _refine(a, b):
+    """``_rows`` after each factor that another of lower degree divides
+    exactly is split into the two, until none divides another.  There is
+    no gcd: two factors with a common divisor may remain."""
+    rows = _rows(a, b)
+    while True:
+        split = next(((i, g, h) for i, (f, _, _) in enumerate(rows) for g, _, _ in rows
+                      if _degree(g) < _degree(f) and (h := try_divide(f, g)) is not None),
+                     None)
+        if split is None:
+            return rows
+        i, g, h = split
+        _, ea, eb = rows.pop(i)
+        _merge(rows, g, ea, eb)
+        _merge(rows, h, ea, eb)
+
+
+def _degree(p):
+    return max(map(sum, p.terms))
+
+
+def _scaled(p, c):
+    return p if c.is_one() else p * c
+
+
+def _expand(ring, factors):
+    out = ring.one
+    for f, e in factors:
+        out = out * f ** e
+    return out
+
+
+class RatFunc(Field):
+    """A fraction of polynomials whose denominator is kept factored.
+
+    ``facs`` holds (factor, exponent) pairs, each factor monic in graded lex
+    with least Laurent exponents 0 (none for 1); ``den`` is their expanded
+    product, formed once per construction.  An expanded denominator (as
+    ``RatFunc(num, den)`` and ``inverse`` pass) is normalised whole into one
+    factor.  Products add exponents; sums and ``==`` work over a common
+    multiple (``_refine``) whose equal factors take the larger exponent, so
+    each numerator is multiplied only by its cofactor.  After a shared
+    monomial, only the whole denominator cancels, tested by ``try_divide``.
     """
 
-    __slots__ = ("num", "den", "_memo")  # ``_memo`` as on ``Poly``
+    __slots__ = ("num", "den", "facs", "_memo")  # ``_memo`` as on ``Poly``
 
-    def __init__(self, num, den=None, _normalized=False):
+    def __init__(self, num, den=None, _normalized=False, facs=None):
         if den is None:
             # a lattice element: normalising over 1 changes nothing
-            den = num.ring.one
-            _normalized = True
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
+            den, facs, _normalized = num.ring.one, (), True
+        elif facs is None:
+            num, den = self._normalize(num, den)
+            facs = () if den.is_one() else ((den, 1),)
+        elif facs and not _normalized:
+            ring = num.ring
+            if num.is_zero():
+                num, den, facs = ring.zero, ring.one, ()
+            else:
+                shifted, den_shifted = self._cancel_monomials(num, den)
+                if den_shifted is not den:
+                    # a shared monomial cancelled: the rest is one factor
+                    num, den = shifted, den_shifted
+                    facs = () if den.is_one() else ((den, 1),)
+                q = try_divide(num, den) if facs else None
+                if q is not None:
+                    num, den, facs = q, ring.one, ()
+        self.num = num
+        self.den = den
+        self.facs = facs
+
+    @classmethod
+    def _normalize(cls, num, den):
+        """The expanded num/den with the shared monomial factor cancelled,
+        then over 1 if den divides num, and den made monic in graded lex."""
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         ring = num.ring
         if num.is_zero():
-            self.num, self.den = ring.zero, ring.one
-            return
-        num, den = self._cancel_monomials(num, den)
+            return ring.zero, ring.one
+        num, den = cls._cancel_monomials(num, den)
         if not den.is_constant():
             q = try_divide(num, den)
             if q is not None:
                 num, den = q, ring.one
-        # make the denominator monic in graded lex
         _, lc = den.leading()
         if not lc.is_one():
             inv = lc.inverse()
             num = num * inv
             den = den * inv
-        self.num = num
-        self.den = den
+        return num, den
 
     @staticmethod
     def _cancel_monomials(num, den):
@@ -355,7 +431,7 @@ class RatFunc(Field):
 
     def is_in_lattice(self):
         """True iff the value lies in the (Laurent) polynomial lattice."""
-        return self.den.is_one()
+        return not self.facs
 
     def as_poly(self):
         if not self.is_in_lattice():
@@ -373,38 +449,47 @@ class RatFunc(Field):
             return RatFunc(self.ring.const(other))
         return NotImplemented
 
+    def _over_common(self, other):
+        """(factors, expanded product, self's cofactor, other's cofactor) of
+        a common multiple of the two denominators."""
+        one = self.ring.one
+        if not self.facs:
+            return other.facs, other.den, other.den, one
+        if not other.facs:
+            return self.facs, self.den, one, self.den
+        rows = _refine(self.facs, other.facs)
+        ca = _expand(self.ring, [(f, max(ea, eb) - ea) for f, ea, eb in rows])
+        cb = _expand(self.ring, [(f, max(ea, eb) - eb) for f, ea, eb in rows])
+        return (tuple((f, max(ea, eb)) for f, ea, eb in rows),
+                self.den * ca, ca, cb)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num + other.num, self.den, _normalized=True)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        # nested denominators: the larger one is the lcm
-        q = try_divide(other.den, self.den)
-        if q is not None:
-            return RatFunc(self.num * q + other.num, other.den)
-        q = try_divide(self.den, other.den)
-        if q is not None:
-            return RatFunc(self.num + other.num * q, self.den)
-        num = self.num * other.den + other.num * self.den
-        if num.is_zero():
-            return RatFunc(num)
-        return RatFunc(num, self.den * other.den)
+        if not self.facs and not other.facs:
+            return RatFunc(self.num + other.num, self.den, _normalized=True, facs=())
+        if self.den == other.den:  # equal factors or not, the same denominator
+            return RatFunc(self.num + other.num, self.den, facs=self.facs)
+        facs, den, ca, cb = self._over_common(other)
+        return RatFunc(_scaled(self.num, ca) + _scaled(other.num, cb), den, facs=facs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return RatFunc(-self.num, self.den, _normalized=True, facs=self.facs)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num * other.num, self.den, _normalized=True)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if not other.facs:
+            den, facs = self.den, self.facs
+        elif not self.facs:
+            den, facs = other.den, other.facs
+        else:
+            den, facs = self.den * other.den, _times(self.facs, other.facs)
+        return RatFunc(self.num * other.num, den, _normalized=not facs, facs=facs)
 
     __rmul__ = __mul__
 
@@ -413,19 +498,35 @@ class RatFunc(Field):
             raise ZeroDivisionError("inverting the zero rational function")
         return RatFunc(self.den, self.num)
 
+    def inverse_den(self):
+        """1/den over the same factors."""
+        return RatFunc(self.ring.one, self.den, _normalized=True, facs=self.facs)
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        return (self.num * other.den - other.num * self.den).is_zero()
+        _, _, ca, cb = self._over_common(other)
+        return _scaled(self.num, ca) == _scaled(other.num, cb)
 
     # -- operations ---------------------------------------------------------------
 
     def substitute(self, images):
-        """``Poly.substitute`` on numerator and denominator; normalises once."""
-        return RatFunc(self.num.substitute(images), self.den.substitute(images))
+        """``Poly.substitute`` on the numerator and on each factor; each 1/f
+        is normalised on its own (its unit goes to the numerator), then the
+        result once."""
+        ring = self.ring
+        num = self.num.substitute(images)
+        den, facs = ring.one, ()
+        for f, e in self.facs:
+            inv = RatFunc(ring.one, f.substitute(images))
+            num = num * inv.num ** e
+            if inv.facs:
+                den = den * inv.den ** e
+                facs = _times(facs, ((inv.den, e),))
+        return RatFunc(num, den, _normalized=not facs, facs=facs)
 
     def evaluate(self, point):
         dv = self.den.evaluate(point)

@@ -67,10 +67,10 @@ class InfGenerator:
         rf = RatFunc.of(value)
         if rf.is_in_lattice():
             return self._act_poly(rf.num)
-        num, den = rf.num, rf.den
-        # E(n/d) = (E(n) - (gamma(n/d)) E(d)) / d
+        # E(n/d) = (E(n) - (gamma(n/d)) E(d)) / d, over d's factors
         gn_over_d = self.twist_act(rf)
-        return (self._act_poly(num) - gn_over_d * self._act_poly(den)) / RatFunc.of(den)
+        return (self._act_poly(rf.num) - gn_over_d * self._act_poly(rf.den)) * \
+            rf.inverse_den()
 
     def _act_poly(self, poly):
         out = RatFunc.of(self.ring.zero)
@@ -469,7 +469,8 @@ class SmashElement(Ring):
 
         Terms are summed by denominator: the numerators over each distinct
         (monic) denominator are added as polynomials first, in first-seen
-        order, so k terms over m denominators multiply m, not k, of them.
+        order, and normalised once over that denominator's factors, so k
+        terms over m denominators make m, not k, sums of fractions.
         """
         S = self.setting
         rf = RatFunc.of(value)
@@ -494,7 +495,7 @@ class SmashElement(Ring):
         for first, *rest in groups:
             if rest:  # a lone term is already normalised
                 num = sum((t.num for t in rest), first.num)
-                first = RatFunc(num) if first.den.is_one() else RatFunc(num, first.den)
+                first = RatFunc(num, first.den, facs=first.facs)
             out = out + first
         return out
 

@@ -106,6 +106,30 @@ def test_number_field_matches_sympy_remainders_and_never_floats(case, n):
         assert [sympy.Rational(c.numerator, c.denominator) for c in got] == coeffs
 
 
+def _fraction_arithmetic(nf, a, b):
+    """a + b, a - b and a * b on Fractions; Q(zeta3) reduces z^2 = -z - 1."""
+    a, b = [Fraction(x) for x in a], [Fraction(y) for y in b]
+    total = tuple(x + y for x, y in zip(a, b))
+    diff = tuple(x - y for x, y in zip(a, b))
+    if nf.degree == 1:
+        return total, diff, (a[0] * b[0],)
+    low, mid, high = a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]
+    return total, diff, (low - high, mid - high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements())
+def test_integral_results_are_ints_and_equal_fraction_arithmetic(case):
+    # components drawn as Fractions with denominators 1-3, so sums such as
+    # 1/2 + 1/2 and products such as 3/2 * 2/3 come out integral
+    nf, _, a, b = case
+    got = (nf.add(a, b), nf.sub(a, b), nf.mul(a, b))
+    for value, want in zip(got, _fraction_arithmetic(nf, a, b)):
+        assert value == want
+        assert [type(c) for c in value] == \
+            [int if c.denominator == 1 else Fraction for c in want], value
+
+
 def test_integral_rationals_are_stored_as_ints():
     nf = NumberField.cyclotomic(3)
     for x in (nf.zero, nf.one, nf.gen(), nf.from_fraction(Fraction(4, 2)),

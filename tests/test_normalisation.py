@@ -10,9 +10,10 @@ sympy's rational function field, whose elements are kept cancelled as
 denominators, and
 check that every stored unit-denominator result is, item for item and in
 order, what the full normalisation returns.  A sum over nested
-denominators is stored over the larger one; sums of fractions over
-products of linear forms, nested or not, are checked against
-``sympy.cancel``.  sympy is used in tests only.
+denominators is stored over the larger one, and one over factored
+denominators that overlap without nesting over their lcm; sums of
+fractions over products of linear forms, nested or not, are checked
+against ``sympy.cancel``.  sympy is used in tests only.
 """
 
 from fractions import Fraction
@@ -309,6 +310,72 @@ def test_sums_over_products_of_linear_forms_match_sympy(na, nb, da, extra, neste
     if try_divide(a.den, b.den) is not None or try_divide(b.den, a.den) is not None:
         bound = max(_degree(a.den), _degree(b.den))
     assert _degree(total.den) <= bound
+
+
+# -- factored denominators ---------------------------------------------------
+
+# A product of fractions 1/f keeps each f as a factor, and a denominator
+# passed expanded is one factor.  Side a takes expanded products of the forms
+# (a "group"), side b single forms, so the two overlap without nesting
+# (f1^2*f2 against f1*f3) or with a form of b dividing a group of a.  Exact
+# division by the single forms then refines every group that shares a form
+# with them, and a sum that does not cancel is over the lcm.
+def _over(num, groups):
+    out = RatFunc.of(num)
+    for g in groups:
+        out = out * RatFunc(R.one, _product(g))
+    return out
+
+
+def _value(r):
+    return _sympy_poly(r.num) / _sympy_poly(r.den)
+
+
+def _lcm_degree(d1, d2):
+    lcm = sympy.lcm(_sympy_poly(d1), _sympy_poly(d2), SX, SZ, domain="QQ(q)")
+    return sympy.Poly(lcm, SX, SZ, domain="QQ(q)").total_degree()
+
+
+IMAGES = [{0: R.var(0) + 1, 1: R.var(1) ** -1},
+          {0: R.var(0) + R.var(1), 1: R.var(1) * RPF.param("q")}]
+groups = st.lists(st.lists(st.integers(0, len(LINEAR_FORMS) - 1), min_size=1, max_size=3),
+                  max_size=2)
+singles = st.lists(st.integers(0, len(LINEAR_FORMS) - 1).map(lambda i: [i]), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(numerators, numerators, groups, singles, st.booleans(), st.sampled_from([0, 1]))
+def test_factored_arithmetic_matches_sympy_and_sums_over_the_lcm(na, nb, ga, gb, flip,
+                                                                 image):
+    a, b = _over(na, ga), _over(nb, gb)
+    sa, sb = _value(a), _value(b)
+    total = b + a if flip else a + b
+    for got, want in [(total, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]:
+        assert sympy.cancel(_value(got) - want) == 0
+    if not b.is_zero():
+        assert sympy.cancel(_value(a / b) - sa / sb) == 0
+    assert (a == b) == (sympy.cancel(sa - sb) == 0)
+    assert a == RatFunc(a.num * a.den, a.den * a.den)
+    assert _degree(total.den) <= _lcm_degree(a.den, b.den)
+    imgs = IMAGES[image]
+    subs = {SX: _sympy_poly(imgs[0]), SZ: _sympy_poly(imgs[1])}
+    assert sympy.cancel(_value(a.substitute(imgs)) - sa.subs(subs, simultaneous=True)) == 0
+
+
+def test_factored_sums_split_nested_and_keep_overlapping_factors():
+    f1, f2, f3 = LINEAR_FORMS[:3]
+    a = _over(R.one, [[0], [0], [1]])             # 1/(f1^2 f2), three factors
+    nested = RatFunc(R.one, f1 * f2)              # one factor f1*f2
+    crossed = _over(R.var(0), [[0], [2]])         # x/(f1 f3)
+    assert [e for _, e in a.facs] == [2, 1]
+    assert len(nested.facs) == 1
+    for total in (a + nested, nested + a):
+        # f1 divides f1*f2: the lcm is f1^2 f2, not f1^3 f2^2
+        assert _degree(total.den) == 3
+    for total in (a + crossed, crossed + a):
+        assert _degree(total.den) == 4
+        assert sorted(e for _, e in total.facs) == [1, 1, 2]
+        assert total == RatFunc(f3 + R.var(0) * f1 * f2, f1 * f1 * f2 * f3)
 
 
 # -- the lattice test ----------------------------------------------------------

@@ -104,6 +104,44 @@ def test_mul_associative_randomized():
         assert x * (y + z) == x * y + x * z
 
 
+# Small random elements of Cherednik S2 (Dunkl operators, coefficients over
+# the root form x1 - x2 and x1 + x2) and rational-differential S2: sums of
+# two-letter words scaled by a coefficient.  The product, InfGenerator.act
+# and apply all run over factored denominators here.
+ORACLE_SETTINGS = [build_setting(Cherednik(2, "S2")), swap_setting()]
+
+
+@st.composite
+def smash_cases(draw):
+    S = draw(st.sampled_from(ORACLE_SETTINGS))
+    ring = S.ring
+    x1, x2 = ring.var(0), ring.var(1)
+    letters = [S.group_element(1), S.inf_element(0), S.inf_element(1),
+               S.from_ratfunc(x1)]
+    if S.meta.get("reflections"):
+        letters += [dunkl_operator(S, 0), dunkl_operator(S, 1)]
+    coeffs = [RatFunc.of(ring.one), RatFunc.of(x2 - 1), RatFunc(ring.one, x1 - x2),
+              RatFunc(x1, x1 + x2)]
+    words = st.tuples(st.sampled_from(letters), st.sampled_from(letters),
+                      st.sampled_from(coeffs))
+
+    def element():
+        return sum(((u * v).scale(c) for u, v, c in draw(st.lists(words, min_size=1,
+                                                                   max_size=2))),
+                   S.zero())
+    f = RatFunc.of(ring.monomial(draw(st.sampled_from(ring.monomials_up_to(2)))))
+    return element(), element(), element(), f
+
+
+@settings(max_examples=25, deadline=None)
+@given(smash_cases())
+def test_products_associate_and_act_multiplicatively(case):
+    a, b, c, f = case
+    ab = a * b
+    assert ab * c == a * (b * c)
+    assert ab.apply(f) == a.apply(b.apply(f))
+
+
 def _reference_product(x, y):
     # the plain pair loop: every push, group image and coefficient product is
     # formed afresh for each pair of terms, with no memo and no skipped unit
@@ -274,9 +312,9 @@ def test_representation_property_randomized():
 
 def test_cherednik_s3_product_keeps_nested_denominators_small():
     # trial 12 of the representation check on Cherednik S3.  The Dunkl
-    # coefficients are over products of root forms x_i - x_j, so most sums in
-    # X*Y have nested denominators; summed over the larger one, no
-    # denominator of X*Y has more than 82 terms (over their products, 466)
+    # coefficients are over products of root forms x_i - x_j; summed over
+    # the lcm of their factors, no denominator of X*Y has more than 43 terms
+    # (82 over the larger of two nested ones, 466 over their products)
     S = build_setting(Cherednik(3, "S3"))
     x1, x2 = S.ring.var(0), S.ring.var(1)
     D1, D2 = dunkl_operator(S, 0), dunkl_operator(S, 1)
@@ -286,8 +324,28 @@ def test_cherednik_s3_product_keeps_nested_denominators_small():
     f = RatFunc.of(x1 ** 2 * x2)
     xy = x * y
     assert len(xy.terms) == 28
-    assert max(len(c.den.terms) for c in xy.terms.values()) <= 82
+    assert max(len(c.den.terms) for c in xy.terms.values()) <= 43
     assert xy.apply(f) == x.apply(y.apply(f))
+
+
+def test_cherednik_s3_identities_sum_over_small_denominators(monkeypatch):
+    # [D_i, D_j] = 0 sums fractions over products of root forms that share
+    # factors; over the lcm no sum's denominator has degree above 5 (over
+    # the product of two unnested denominators, 8)
+    S = build_setting(Cherednik(3, "S3"))
+    add = RatFunc.__add__
+    degrees = []
+
+    def recorded(a, b):
+        total = add(a, b)
+        degrees.append(max(map(sum, total.den.terms)))
+        return total
+
+    monkeypatch.setattr(RatFunc, "__add__", recorded)
+    reports = S.recipe.identities(S)
+    monkeypatch.undo()
+    assert [r.status for r in reports] == ["verified"]
+    assert degrees and max(degrees) <= 5
 
 
 def test_apply_sums_by_denominator():
